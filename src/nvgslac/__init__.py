@@ -51,7 +51,6 @@ from .spectrum import (
     synthesize,
     track_transition,
     write_spectrum_csv,
-    write_transitions_csv,
 )
 from .carbon13 import (
     C13Placement,

@@ -6,10 +6,9 @@ x-axis by the angle between the two z-axes (given as |cos|).  A placement
 draws an independent Bernoulli occupation per site; the matrix dimension
 grows as 9 * 2**N for N occupied sites.
 
-Ensemble averages are reproducible: iteration k uses a generator seeded
-with ``master_seed XOR k``, and the pointwise mean is accumulated with
-exact summation, so the result does not depend on iteration order or on
-the number of workers.
+Ensemble averages are reproducible: draw k uses a generator seeded with the
+sequence ``[master_seed, k]``, so different master seeds give independent
+streams, and the draws are averaged in iteration order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -32,8 +30,8 @@ from .hamiltonian import (
     build_nv_hamiltonian,
 )
 from .spectrum import SpectrumModel, synthesize
-from .spin_core import eigensolve, embed, product_basis_labels, spin_matrices
-from .transitions import FLOOR_REL_DEFAULT, transition_table
+from .spin_core import eigensolve, embed, spin_matrices
+from .transitions import transition_table
 
 EXPECTED_SITE_TOTAL = 39
 MAX_N_C13_DEFAULT = 8
@@ -159,7 +157,7 @@ def site_list(families) -> tuple:
 
 def sample_placement(cfg: McConfig, iteration: int, families) -> C13Placement:
     """Independent Bernoulli occupation per site, reproducible per iteration."""
-    rng = np.random.default_rng(cfg.seed ^ iteration)
+    rng = np.random.default_rng([cfg.seed, iteration])
     sites = site_list(families)
     draws = rng.random(len(sites))
     occupied = tuple(site for site, u in zip(sites, draws) if u < cfg.occupancy)
@@ -214,40 +212,6 @@ def build_full_hamiltonian(
     return h
 
 
-def _iteration_values(
-    iteration: int,
-    cfg: McConfig,
-    families,
-    base: np.ndarray,
-    field_cfg: FieldConfig,
-    constants: PhysicalConstants,
-    beta: float,
-    width: float,
-    grid: np.ndarray,
-    manifold_split: float,
-    mode: str | None,
-    population_mode: str,
-    floor_rel: float,
-    max_n_c13: int,
-    base_values: np.ndarray,
-) -> np.ndarray:
-    placement = sample_placement(cfg, iteration, families)
-    if placement.n_c13 == 0:
-        return base_values
-    h = build_full_hamiltonian(base, placement, families, field_cfg, constants, max_n_c13)
-    system = eigensolve(h, product_basis_labels(placement.n_c13))
-    table = transition_table(
-        system,
-        beta,
-        manifold_split=manifold_split,
-        floor_rel=floor_rel,
-        population_mode=population_mode,
-        mode=mode,
-        b_mt=field_cfg.b,
-    )
-    return synthesize(table, width, grid).values
-
-
 def mc_average_spectrum(
     cfg: McConfig,
     field_cfg: FieldConfig,
@@ -255,63 +219,46 @@ def mc_average_spectrum(
     beta: float = 0.0,
     width: float = 1.0,
     grid=None,
-    manifold_split: float = 1.0,
     mode: str | None = None,
-    population_mode: str = "nominal",
-    floor_rel: float = FLOOR_REL_DEFAULT,
-    max_n_c13: int = MAX_N_C13_DEFAULT,
-    families=None,
-    workers: int = 1,
 ) -> SpectrumModel:
     """Pointwise mean spectrum over random carbon-13 placements.
 
-    Carbon projections enter the population weighting uniformly
-    (spectators).  Returns the mean curve and its per-point standard
-    error; results are bit-identical for any worker count.
+    Families come from ``cfg.family_file``.  Carbon projections enter the
+    population weighting uniformly (spectators).  Every placement is drawn
+    before any Hamiltonian is built, and ``ResourceLimitError`` is raised
+    if a draw has more than ``MAX_N_C13_DEFAULT`` sites.  Returns the mean
+    curve and its per-point standard error; the same ``cfg`` gives the same
+    result.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid must be nonempty")
-    if families is None:
-        families = load_families(cfg.family_file)
+    families = load_families(cfg.family_file)
+    placements = [sample_placement(cfg, k, families) for k in range(cfg.iterations)]
+    over = [p.n_c13 for p in placements if p.n_c13 > MAX_N_C13_DEFAULT]
+    if over:
+        raise ResourceLimitError(
+            f"{len(over)} of {cfg.iterations} draws exceed the cap of {MAX_N_C13_DEFAULT} "
+            f"carbon-13 sites (largest: {max(over)} sites)"
+        )
+
+    def curve(h):
+        table = transition_table(eigensolve(h), beta, mode=mode, b_mt=field_cfg.b)
+        return synthesize(table, width, grid).values
+
     base = build_nv_hamiltonian(constants, field_cfg)
-    base_system = eigensolve(base, product_basis_labels(0))
-    base_table = transition_table(
-        base_system,
-        beta,
-        manifold_split=manifold_split,
-        floor_rel=floor_rel,
-        population_mode=population_mode,
-        mode=mode,
-        b_mt=field_cfg.b,
+    base_values = curve(base)
+    curves = np.array(
+        [
+            curve(build_full_hamiltonian(base, p, families, field_cfg, constants))
+            if p.n_c13
+            else base_values
+            for p in placements
+        ]
     )
-    base_values = synthesize(base_table, width, grid).values
-
-    def run(iteration):
-        return _iteration_values(
-            iteration, cfg, families, base, field_cfg, constants, beta, width, grid,
-            manifold_split, mode, population_mode, floor_rel, max_n_c13, base_values,
-        )
-
-    iterations = range(cfg.iterations)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(run, iterations))
-    else:
-        curves = [run(k) for k in iterations]
-
+    mean = curves.mean(axis=0)
     n = cfg.iterations
-    mean = np.array([math.fsum(c[k] for c in curves) / n for k in range(grid.size)])
-    if n > 1:
-        var = np.array(
-            [
-                max(math.fsum((c[k] - mean[k]) ** 2 for c in curves), 0.0) / (n - 1)
-                for k in range(grid.size)
-            ]
-        )
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.zeros_like(mean)
+    stderr = curves.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     meta = {
         "iterations": cfg.iterations,
         "occupancy": cfg.occupancy,

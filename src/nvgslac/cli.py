@@ -1,11 +1,9 @@
 """Command line interface: simulate / fit / calibrate / polarization / mc13 / constants.
 
-All subcommands are deterministic given their inputs, flags and seed, and
-never modify input files.  Exit codes: 0 success, 2 validation error,
-3 parse error, 4 non-convergence, 5 resource cap exceeded.
-
-``NVGSLAC_THREADS`` caps internal worker parallelism (results do not
-depend on it).
+All subcommands are deterministic given their inputs and flags (``mc13``
+draws its carbon-13 placements from ``--seed``) and never modify input
+files.  Exit codes: 0 success, 2 validation error, 3 parse error,
+4 non-convergence, 5 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,21 +40,8 @@ from .spectrum import (
     synthesize,
     transitions_to_csv,
 )
-from .spin_core import eigensolve, product_basis_labels
+from .spin_core import eigensolve
 from .transitions import transition_table
-
-
-def worker_count() -> int:
-    raw = os.environ.get("NVGSLAC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"NVGSLAC_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValidationError(f"NVGSLAC_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _parse_grid(text: str):
@@ -165,7 +149,7 @@ def cmd_simulate(args) -> int:
     spectra = []
     for b in fields:
         field_cfg = FieldConfig(b=b, theta_deg=args.theta_deg)
-        system = eigensolve(build_nv_hamiltonian(constants, field_cfg), product_basis_labels(0))
+        system = eigensolve(build_nv_hamiltonian(constants, field_cfg))
         table = transition_table(system, args.beta, mode=args.mode, b_mt=b)
         tables.append(table)
         spectra.append(synthesize(table, args.width_mhz, grid))
@@ -201,7 +185,6 @@ def cmd_mc13(args) -> int:
         width=args.width_mhz,
         grid=grid,
         mode=args.mode,
-        workers=worker_count(),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,7 +220,6 @@ def cmd_fit(args) -> int:
     result = fit_spectrum(data, initial, mode=args.mode, constants=constants)
     provenance = _provenance(args, constants, "fit")
     provenance["input"] = str(args.input)
-    provenance["seed"] = args.seed
     doc = fit_report_document(result, provenance)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -368,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(fit)
     fit.add_argument("input", help="spectrum CSV to fit")
     fit.add_argument("--b-mt", type=float, help="initial field value (mT)")
-    fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out", required=True, help="fit report JSON path")
     fit.set_defaults(func=cmd_fit)
 

@@ -46,14 +46,17 @@ from .hamiltonian import (
     gslac_field,
 )
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
-from .spin_core import eigensolve, format_label, product_basis_labels
-from .transitions import FLOOR_REL_DEFAULT, transition_table
+from .spin_core import eigensolve, format_label
+from .transitions import TransitionTable, transition_table
 
 B_FREE_THRESHOLD_MT = 0.5
 # Largest step of the start-field scan; below the 14N spacing |a_par| / gamma_e
 # = 2.14 MHz / 28.0 MHz/mT = 0.076 mT (see the module docstring).
 B_SCAN_STEP_MT = 0.05
 GSLAC_CONFIDENCE_WINDOW_MT = 0.15
+# Start search: a beta x width scoring grid, and Nelder-Mead from the best starts.
+START_GRID = (5, 5)
+N_RESTARTS = 2
 
 ORIENTATION_SCALE = math.sqrt(1.5)
 ALIGNMENT_SCALE = math.sqrt(0.5)
@@ -132,27 +135,22 @@ def reduced_chi2(data: MeasuredSpectrum, model, sigma=None) -> float:
     return float(np.mean(residual ** 2))
 
 
+def _model_table(params: FitParams, mode: str, constants: PhysicalConstants) -> TransitionTable:
+    field_cfg = FieldConfig(b=params.b, theta_deg=params.theta_deg)
+    system = eigensolve(build_nv_hamiltonian(constants, field_cfg))
+    return transition_table(
+        system, params.beta, manifold_split=params.manifold_split, mode=mode, b_mt=params.b
+    )
+
+
 def model_spectrum(
     params: FitParams,
     grid,
     mode: str = "hi",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    floor_rel: float = FLOOR_REL_DEFAULT,
-    population_mode: str = "nominal",
 ) -> SpectrumModel:
     """Synthesize the band-limited model spectrum for one parameter set."""
-    field_cfg = FieldConfig(b=params.b, theta_deg=params.theta_deg)
-    system = eigensolve(build_nv_hamiltonian(constants, field_cfg), product_basis_labels(0))
-    table = transition_table(
-        system,
-        params.beta,
-        manifold_split=params.manifold_split,
-        floor_rel=floor_rel,
-        population_mode=population_mode,
-        mode=mode,
-        b_mt=params.b,
-    )
-    return synthesize(table, params.width, grid)
+    return synthesize(_model_table(params, mode, constants), params.width, grid)
 
 
 DEFAULT_BOUNDS = {
@@ -172,14 +170,9 @@ def _optimal_scale(data_values: np.ndarray, model_values: np.ndarray) -> float:
 def fit_spectrum(
     data: MeasuredSpectrum,
     initial: FitParams,
-    bounds: dict | None = None,
     mode: str = "hi",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    floor_rel: float = FLOOR_REL_DEFAULT,
-    population_mode: str = "nominal",
     sigma=None,
-    restart_grid: tuple = (5, 5),
-    n_restarts: int = 2,
     max_evaluations: int = 100_000,
 ) -> FitResult:
     """Fit one measured sweep by derivative-free chi-squared minimization.
@@ -190,20 +183,20 @@ def fit_spectrum(
     first scanned over its bounds in steps of at most ``B_SCAN_STEP_MT``
     (0.05 mT, below the 0.076 mT 14N line spacing in field units) with
     beta and width at their initial values, and the best-matching field
-    becomes the start field.  Candidate starts then come from a coarse
-    beta x width grid at the start field; Nelder-Mead is run from the best
-    ``n_restarts`` of them (step tolerance 1e-4, value tolerance 1e-10).
+    becomes the start field.  Candidate starts then come from a
+    ``START_GRID`` (5 x 5) beta x width grid at the start field; Nelder-Mead
+    is run from the best ``N_RESTARTS`` (2) of them (step tolerance 1e-4,
+    value tolerance 1e-10).  Parameters stay within ``DEFAULT_BOUNDS``.
 
     Every scan, grid and search evaluation counts towards
     ``n_evaluations`` and is spent from ``max_evaluations``; the starts
     are cut short when the budget runs out, and ``ConvergenceError`` is
-    raised if no search converged.
+    raised if no search converged.  The curvature probes at the optimum,
+    two per free parameter, are not counted.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
-    merged_bounds = dict(DEFAULT_BOUNDS)
-    if bounds:
-        merged_bounds.update(bounds)
+    bounds = dict(DEFAULT_BOUNDS)
     b_center = gslac_field(constants)
     b_free = abs(initial.b - b_center) > B_FREE_THRESHOLD_MT
     split_free = not b_free
@@ -211,9 +204,7 @@ def fit_spectrum(
     names = ["beta", "width"]
     if b_free:
         names.append("b")
-        merged_bounds.setdefault(
-            "b", (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT)
-        )
+        bounds["b"] = (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT)
     if split_free:
         names.append("manifold_split")
 
@@ -230,38 +221,39 @@ def fit_spectrum(
             manifold_split=values.get("manifold_split", initial.manifold_split),
         )
 
-    def objective(x) -> float:
-        nonlocal eval_count
-        eval_count += 1
+    def penalized_chi2(x) -> tuple:
+        """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale)."""
         penalty = 0.0
         clipped = []
         for name, value in zip(names, x):
-            lo, hi = merged_bounds[name]
+            lo, hi = bounds[name]
             c = min(max(value, lo), hi)
             penalty += (value - c) ** 2
             clipped.append(c)
-        params = unpack(clipped)
         try:
-            model = model_spectrum(
-                params, data.grid, mode=mode, constants=constants,
-                floor_rel=floor_rel, population_mode=population_mode,
-            )
+            model = model_spectrum(unpack(clipped), data.grid, mode=mode, constants=constants)
         except ValidationError:
-            return 1e30
+            return 1e30, None, 0.0
         scale = _optimal_scale(data.values, model.values)
         chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
-        total = chi2 + 1e6 * penalty
-        if total < best["chi2"]:
-            best.update(chi2=total, x=list(clipped), scale=scale)
+        return chi2 + 1e6 * penalty, clipped, scale
+
+    def objective(x) -> float:
+        """Counted evaluation; keeps the best point seen."""
+        nonlocal eval_count
+        eval_count += 1
+        total, clipped, scale = penalized_chi2(x)
+        if clipped is not None and total < best["chi2"]:
+            best.update(chi2=total, x=clipped, scale=scale)
         return total
 
     # Coarse scoring grid over (beta, width), other parameters at their
     # start.  The grid spans the plausible region around the initial
     # guess, not the full bounds: spin temperatures beyond |beta| ~ 2 are
     # saturated and widths far from the seed only smear the landscape.
-    n_beta, n_width = restart_grid
-    beta_lo, beta_hi = merged_bounds["beta"]
-    width_lo, width_hi = merged_bounds["width"]
+    n_beta, n_width = START_GRID
+    beta_lo, beta_hi = bounds["beta"]
+    width_lo, width_hi = bounds["width"]
     beta_grid = np.linspace(max(beta_lo, -2.0), min(beta_hi, 2.0), n_beta)
     width_grid = np.linspace(
         max(width_lo, initial.width / 3.0), min(width_hi, initial.width * 3.0), n_width
@@ -284,7 +276,7 @@ def fit_spectrum(
     # is about one 14N spacing off (see the module docstring).
     b_starts = [initial.b]
     if b_free:
-        b_lo, b_hi = merged_bounds["b"]
+        b_lo, b_hi = bounds["b"]
         n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
         b_starts = np.linspace(b_lo, b_hi, n_scan)
     scan = sorted(
@@ -299,7 +291,7 @@ def fit_spectrum(
     starts.sort(key=itemgetter(0))
 
     converged = False
-    for _, x0 in starts[: max(1, n_restarts)]:
+    for _, x0 in starts[:N_RESTARTS]:
         remaining = max_evaluations - eval_count
         if remaining <= 0:
             break
@@ -319,24 +311,11 @@ def fit_spectrum(
         )
 
     params = unpack(best["x"])
-    model = model_spectrum(
-        params, data.grid, mode=mode, constants=constants,
-        floor_rel=floor_rel, population_mode=population_mode,
-    )
+    table = _model_table(params, mode, constants)
+    model = synthesize(table, params.width, data.grid)
     scale = _optimal_scale(data.values, model.values)
     chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
 
-    field_cfg = FieldConfig(b=params.b, theta_deg=params.theta_deg)
-    system = eigensolve(build_nv_hamiltonian(constants, field_cfg), product_basis_labels(0))
-    table = transition_table(
-        system,
-        params.beta,
-        manifold_split=params.manifold_split,
-        floor_rel=floor_rel,
-        population_mode=population_mode,
-        mode=mode,
-        b_mt=params.b,
-    )
     areas: dict = {}
     strengths: dict = {}
     for row in table.rows:
@@ -344,7 +323,8 @@ def fit_spectrum(
         areas[key] = areas.get(key, 0.0) + scale * row.intensity
         strengths[key] = strengths.get(key, 0.0) + row.probability
 
-    # 1-d curvature of chi2 at the optimum (uncertainty proxy).
+    # 1-d curvature of chi2 at the optimum (uncertainty proxy); the probes
+    # are not search evaluations, so they neither count nor move ``best``.
     curvatures = {}
     x_best = np.asarray(best["x"], dtype=float)
     for k, name in enumerate(names):
@@ -353,7 +333,8 @@ def fit_spectrum(
         minus = x_best.copy()
         plus[k] += h
         minus[k] -= h
-        curvatures[name] = (objective(plus) - 2.0 * chi2 + objective(minus)) / h ** 2
+        up, down = penalized_chi2(plus)[0], penalized_chi2(minus)[0]
+        curvatures[name] = (up - 2.0 * chi2 + down) / h ** 2
 
     flags = []
     if not b_free:

@@ -232,11 +232,6 @@ def transitions_to_csv(tables) -> str:
     return buf.getvalue()
 
 
-def write_transitions_csv(path, tables) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(transitions_to_csv(tables))
-
-
 def frequency_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid; validates the specification."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from conftest import nv_table
 
+from nvgslac import carbon13
 from nvgslac.carbon13 import (
     C13Placement,
     EXPECTED_SITE_TOTAL,
+    MAX_N_C13_DEFAULT,
     McConfig,
     build_full_hamiltonian,
     load_families,
@@ -94,7 +96,11 @@ def test_sample_placement_limits_and_reproducibility():
     a = sample_placement(cfg, 7, families)
     b = sample_placement(cfg, 7, families)
     assert a == b
-    assert sample_placement(McConfig(seed=6), 7, families) != a or True  # different seed allowed
+    # different seeds give different ensembles (seeding draw k with
+    # ``seed XOR k`` made seeds 0 and 1 permute the same 40 streams)
+    cfgs = [McConfig(iterations=40, occupancy=0.011, seed=seed) for seed in (0, 1)]
+    means = [mc_average_spectrum(c, FIELD, grid=GRID, mode="lo").values for c in cfgs]
+    assert not np.array_equal(means[0], means[1])
 
 
 def test_sample_placement_mean_occupancy():
@@ -210,16 +216,31 @@ def test_mc_zero_occupancy_equals_base():
     assert np.max(spec.stderr) < 1e-15
 
 
-def test_mc_reproducible_and_worker_invariant():
+def test_mc_reproducible():
     cfg = McConfig(iterations=40, occupancy=0.011, seed=9)
     one = mc_average_spectrum(cfg, FIELD, beta=0.0, width=1.0, grid=GRID, mode="lo")
     two = mc_average_spectrum(cfg, FIELD, beta=0.0, width=1.0, grid=GRID, mode="lo")
-    par = mc_average_spectrum(
-        cfg, FIELD, beta=0.0, width=1.0, grid=GRID, mode="lo", workers=4
-    )
     assert np.array_equal(one.values, two.values)
-    assert np.array_equal(one.values, par.values)
-    assert np.array_equal(one.stderr, par.stderr)
+    assert np.array_equal(one.stderr, two.stderr)
+
+
+def test_mc_cap_checked_before_any_build(monkeypatch):
+    # draw 0 has 5 sites (under the cap), later draws exceed it
+    cfg = McConfig(iterations=20, occupancy=0.15, seed=1)
+    families = load_families()
+    sizes = [sample_placement(cfg, k, families).n_c13 for k in range(cfg.iterations)]
+    over = [n for n in sizes if n > MAX_N_C13_DEFAULT]
+    assert 0 < sizes[0] <= MAX_N_C13_DEFAULT and over
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a Hamiltonian was built before the cap check")
+
+    monkeypatch.setattr(carbon13, "build_full_hamiltonian", no_build)
+    with pytest.raises(ResourceLimitError) as info:
+        mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")
+    message = str(info.value)
+    assert f"{len(over)} of {cfg.iterations} draws" in message
+    assert f"largest: {max(over)} sites" in message
 
 
 def test_mc_standard_error_scaling():

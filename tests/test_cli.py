@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nvgslac.carbon13 import McConfig, load_families, sample_placement
 from nvgslac.cli import main
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS
@@ -255,20 +256,14 @@ def test_input_files_not_modified(tmp_path):
     assert path.read_text() == content
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("NVGSLAC_THREADS", "not-a-number")
+def test_mc13_with_carbon13_present(tmp_path):
+    cfg = McConfig(iterations=8, occupancy=0.011, seed=2)
+    families = load_families()
+    assert any(sample_placement(cfg, k, families).n_c13 for k in range(cfg.iterations))
     code = run(
         [
             "mc13", "--b-mt", "102.4", "--grid", "0:40:0.5",
-            "--iterations", "2", "--occupancy", "0", "--out", str(tmp_path / "x"),
-        ]
-    )
-    assert code == 2
-    monkeypatch.setenv("NVGSLAC_THREADS", "2")
-    code = run(
-        [
-            "mc13", "--b-mt", "102.4", "--grid", "0:40:0.5",
-            "--iterations", "4", "--occupancy", "0.011", "--seed", "2",
+            "--iterations", "8", "--occupancy", "0.011", "--seed", "2",
             "--out", str(tmp_path / "y"),
         ]
     )

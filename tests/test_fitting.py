@@ -172,8 +172,18 @@ def test_fit_field_scan_step_below_14n_spacing():
 def test_fit_n_evaluations_includes_field_scan(model_calls):
     data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
     result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
-    # one further model spectrum is synthesized at the optimum for the areas
-    assert result.n_evaluations == len(model_calls) - 1
+    # every model spectrum but the two curvature probes per free parameter
+    # is a counted evaluation
+    assert len(result.curvatures) == 3
+    assert result.n_evaluations == len(model_calls) - 2 * len(result.curvatures)
+
+
+def test_fit_curvature_probes_stay_within_budget():
+    # 442 evaluations is what the scan, the grid and the searches of this fit
+    # take, so the budget is spent exactly when the search converges
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0), max_evaluations=442)
+    assert result.n_evaluations <= 442
 
 
 def test_fit_empty_data_rejected():
