@@ -77,6 +77,8 @@ class McConfig:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations!r}")
         if not 0.0 <= self.occupancy <= 1.0:
             raise ValidationError(f"occupancy must lie in [0, 1], got {self.occupancy!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def default_family_path():
@@ -265,4 +267,4 @@ def mc_average_spectrum(
         "seed": cfg.seed,
         "b_mt": field_cfg.b,
     }
-    return SpectrumModel(peaks=(), grid=grid, values=mean, meta=meta, stderr=stderr)
+    return SpectrumModel(peaks=np.empty((0, 3)), grid=grid, values=mean, meta=meta, stderr=stderr)

@@ -12,12 +12,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .carbon13 import McConfig, mc_average_spectrum
+from .carbon13 import McConfig, load_families, mc_average_spectrum
 from .errors import NvGslacError, ParseError, ValidationError
 from .fitting import (
     FitParams,
@@ -95,12 +96,12 @@ def _write_provenance(out_dir: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _check_grid_covers(grid, tables, width: float, mode: str) -> None:
-    centers = [row.freq_mhz for table in tables for row in table.rows]
-    if not centers:
+def _check_grid_covers(grid, tables, margin: float, mode: str) -> None:
+    centers = np.concatenate([table.freq_mhz for table in tables])
+    if not centers.size:
         return
-    lo = min(centers) - 20.0 * width
-    hi = max(centers) + 20.0 * width
+    lo = centers.min() - margin
+    hi = centers.max() + margin
     if grid[-1] < lo or grid[0] > hi:
         raise ValidationError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] MHz does not overlap the {mode}-band "
@@ -153,7 +154,7 @@ def cmd_simulate(args) -> int:
         table = transition_table(system, args.beta, mode=args.mode, b_mt=b)
         tables.append(table)
         spectra.append(synthesize(table, args.width_mhz, grid))
-    _check_grid_covers(grid, tables, args.width_mhz, args.mode)
+    _check_grid_covers(grid, tables, 20.0 * args.width_mhz, args.mode)
 
     for b, spec in zip(fields, spectra):
         _write_spectrum(
@@ -177,6 +178,13 @@ def cmd_mc13(args) -> int:
         family_file=args.families,
     )
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
+    # Carbon-13 satellites sit up to about the largest principal hyperfine
+    # value away from the carbon-free lines.
+    base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
+    table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
+    families = load_families(cfg.family_file)
+    shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
+    _check_grid_covers(grid, [table], 20.0 * args.width_mhz + shift, args.mode)
     spec = mc_average_spectrum(
         cfg,
         field_cfg,
@@ -188,7 +196,7 @@ def cmd_mc13(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean_only = type(spec)(peaks=(), grid=spec.grid, values=spec.values)
+    mean_only = replace(spec, meta=None, stderr=None)
     _write_spectrum(
         out_dir,
         f"mc_spectrum_{args.mode}_b{args.b_mt:.6g}",
@@ -196,7 +204,7 @@ def cmd_mc13(args) -> int:
         _spectrum_meta(args, args.b_mt),
         args.format,
     )
-    stderr_spec = type(spec)(peaks=(), grid=spec.grid, values=spec.values, stderr=spec.stderr)
+    stderr_spec = replace(spec, meta=None)
     _write_spectrum(
         out_dir,
         f"mc_stderr_{args.mode}_b{args.b_mt:.6g}",

@@ -318,10 +318,12 @@ def fit_spectrum(
 
     areas: dict = {}
     strengths: dict = {}
-    for row in table.rows:
-        key = format_label(row.label_from)
-        areas[key] = areas.get(key, 0.0) + scale * row.intensity
-        strengths[key] = strengths.get(key, 0.0) + row.probability
+    for i, probability, intensity in zip(
+        table.i.tolist(), table.probability.tolist(), table.intensity.tolist()
+    ):
+        key = format_label(table.labels[i])
+        areas[key] = areas.get(key, 0.0) + scale * intensity
+        strengths[key] = strengths.get(key, 0.0) + probability
 
     # 1-d curvature of chi2 at the optimum (uncertainty proxy); the probes
     # are not search evaluations, so they neither count nor move ``best``.

@@ -38,11 +38,12 @@ def lorentzian(freq, center: float, hwhm: float):
 class SpectrumModel:
     """Peak list plus the sampled model curve.
 
-    ``peaks`` rows are (center MHz, hwhm MHz, amplitude = area); ``stderr``
-    is the per-point standard error when the curve is an ensemble mean.
+    ``peaks`` is an (n, 3) array whose rows are (center MHz, hwhm MHz,
+    amplitude = area), one per transition; ``stderr`` is the per-point
+    standard error when the curve is an ensemble mean.
     """
 
-    peaks: tuple
+    peaks: np.ndarray
     grid: np.ndarray
     values: np.ndarray
     meta: dict | None = None
@@ -71,15 +72,17 @@ class MeasuredSpectrum:
 
 
 def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
-    """One Lorentzian per table row, common width, amplitude = intensity."""
+    """One Lorentzian per table entry, common width, amplitude = intensity."""
     if not width > 0:
         raise ValidationError(f"linewidth must be positive, got {width!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid must be nonempty")
-    peaks = tuple((row.freq_mhz, float(width), row.intensity) for row in table.rows)
+    hwhm = float(width)
+    peaks = np.column_stack((table.freq_mhz, np.full(len(table), hwhm), table.intensity))
+    # Accumulated in table order, one grid-sized temporary at a time.
     values = np.zeros_like(grid)
-    for center, hwhm, amplitude in peaks:
+    for center, amplitude in zip(table.freq_mhz.tolist(), table.intensity.tolist()):
         values += amplitude * lorentzian(grid, center, hwhm)
     return SpectrumModel(peaks=peaks, grid=grid, values=values)
 
@@ -98,9 +101,9 @@ def normalize(spec):
 def track_transition(tables, from_label, to_label) -> list:
     """Follow one nominally-labeled transition across a field sweep.
 
-    Returns (b, freq, intensity) per table; when the table has no row for
-    the pair the intensity is 0 and the frequency comes from the level
-    energies.
+    The two labels may come in either order.  Returns (b, freq, intensity)
+    per table; when the table has no entry for the pair the intensity is 0
+    and the frequency comes from the level energies.
     """
     from_label = tuple(from_label)
     to_label = tuple(to_label)
@@ -110,14 +113,14 @@ def track_transition(tables, from_label, to_label) -> list:
             raise ValidationError(
                 f"unknown label {from_label!r} or {to_label!r} in transition table"
             )
-        row = table.find(from_label, to_label)
-        if row is not None:
-            out.append((table.b_mt, row.freq_mhz, row.intensity))
+        # entries always have i < j (ascending energies)
+        i, j = sorted((table.labels.index(from_label), table.labels.index(to_label)))
+        hit = np.flatnonzero((table.i == i) & (table.j == j))
+        if hit.size:
+            k = hit[0]
+            out.append((table.b_mt, float(table.freq_mhz[k]), float(table.intensity[k])))
         else:
-            i = table.labels.index(from_label)
-            j = table.labels.index(to_label)
-            freq = abs(float(table.energies[j] - table.energies[i]))
-            out.append((table.b_mt, freq, 0.0))
+            out.append((table.b_mt, float(table.energies[j] - table.energies[i]), 0.0))
     return out
 
 
@@ -219,15 +222,10 @@ def transitions_to_csv(tables) -> str:
     writer.writerow(["b_mt", "freq_mhz", "intensity", "label_from", "label_to"])
     for table in tables:
         b_text = _format_number(table.b_mt) if table.b_mt is not None else ""
-        for row in table.rows:
+        labels = [format_label(label) for label in table.labels]
+        for i, j, freq, intensity in zip(table.i, table.j, table.freq_mhz, table.intensity):
             writer.writerow(
-                [
-                    b_text,
-                    _format_number(row.freq_mhz),
-                    _format_number(row.intensity),
-                    format_label(row.label_from),
-                    format_label(row.label_to),
-                ]
+                [b_text, _format_number(freq), _format_number(intensity), labels[i], labels[j]]
             )
     return buf.getvalue()
 

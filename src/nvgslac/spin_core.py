@@ -168,14 +168,6 @@ class EigenSystem:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def index_of(self, label) -> int:
-        if self.labels is None:
-            raise ValidationError("eigen-system has no labels")
-        try:
-            return self.labels.index(tuple(label) if isinstance(label, (tuple, list)) else label)
-        except ValueError:
-            raise ValidationError(f"unknown state label {label!r}") from None
-
 
 def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     """Assign rows to columns greedily by descending weight.

@@ -17,18 +17,19 @@ carbon-13 projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import EigenSystem, embed, spin_matrices
+from .spin_core import EigenSystem, default_basis_labels, embed, spin_matrices
 
 FLOOR_REL_DEFAULT = 1e-6
 POPULATION_MODES = ("nominal", "composition")
 MODES = ("hi", "lo")
 
 _MI_INDEX = {1: 0, 0: 1, -1: 2}  # populations are ordered m_I = +1, 0, -1
+_ENTRY_FIELDS = ("i", "j", "freq_mhz", "probability", "intensity")  # one value per transition
 
 
 @dataclass(frozen=True)
@@ -62,27 +63,36 @@ class TransitionRow:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Transition rows above the intensity floor, plus the level context.
+    """Transitions above the intensity floor as parallel arrays, plus the level context.
 
-    ``energies`` and ``labels`` describe all levels of the eigen-system
-    the rows were computed from, so absent rows can still be located.
+    Entry k connects level ``i[k]`` (the lower one, which supplies the
+    population weight) to level ``j[k]``, with ``i[k] < j[k]``, at
+    ``freq_mhz[k]``, with transition probability ``probability[k]`` and
+    population-weighted ``intensity[k]``.  ``energies`` and ``labels``
+    describe all levels of the eigen-system the entries were computed
+    from, so absent transitions can still be located.
     """
 
-    rows: tuple
+    i: np.ndarray
+    j: np.ndarray
+    freq_mhz: np.ndarray
+    probability: np.ndarray
+    intensity: np.ndarray
     energies: np.ndarray
     labels: tuple
     b_mt: float | None = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.i.size
 
-    def find(self, label_a, label_b):
-        """Row connecting the two nominal labels, in either order."""
-        pair = {tuple(label_a), tuple(label_b)}
-        for row in self.rows:
-            if {row.label_from, row.label_to} == pair:
-                return row
-        return None
+    @property
+    def rows(self) -> tuple:
+        """The entries as :class:`TransitionRow` objects, in table order."""
+        columns = (getattr(self, name).tolist() for name in _ENTRY_FIELDS)
+        return tuple(
+            TransitionRow(i, j, f, p, t, self.labels[i], self.labels[j])
+            for i, j, f, p, t in zip(*columns)
+        )
 
 
 def _subsystem_dims(system: EigenSystem) -> tuple:
@@ -140,8 +150,6 @@ def state_weights(
 
     if population_mode == "nominal":
         return np.array([basis_weight(label) for label in system.labels])
-    from .spin_core import default_basis_labels
-
     basis_labels = default_basis_labels(system.dim)
     basis_w = np.array([basis_weight(label) for label in basis_labels])
     return (np.abs(system.vectors) ** 2).T @ basis_w
@@ -158,59 +166,48 @@ def intensity_matrix(
 ) -> TransitionTable:
     """Population-weighted transition table.
 
-    Rows are kept when their intensity exceeds ``floor_rel`` times the
-    maximum intensity; the lower-energy state of each pair supplies the
-    population weight and is reported as ``label_from``.
+    A pair of levels is kept when its intensity exceeds ``floor_rel``
+    times the maximum intensity; the lower-energy level of each pair,
+    ``i``, supplies the population weight.
     """
     p = np.asarray(p)
     if p.shape != (system.dim, system.dim):
         raise ValidationError("probability matrix does not match the eigen-system dimension")
     weights = state_weights(system, beta, manifold_split, population_mode)
     energies = system.energies
-    n = system.dim
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(system.dim, k=1)
     freq = energies[ju] - energies[iu]  # ascending energies: j above i
-    intens = p[iu, ju] * weights[iu]
-    t_max = intens.max(initial=0.0)
-    if t_max <= 0.0:
-        keep = np.zeros_like(intens, dtype=bool)
-    else:
-        keep = (intens > floor_rel * t_max) & (freq > 0.0)
-    rows = tuple(
-        TransitionRow(
-            i=int(i),
-            j=int(j),
-            freq_mhz=float(f),
-            probability=float(pp),
-            intensity=float(t),
-            label_from=system.labels[i],
-            label_to=system.labels[j],
-        )
-        for i, j, f, pp, t in zip(
-            iu[keep], ju[keep], freq[keep], p[iu, ju][keep], intens[keep]
-        )
+    prob = p[iu, ju]
+    intens = prob * weights[iu]
+    keep = (intens > floor_rel * intens.max(initial=0.0)) & (freq > 0.0)
+    return TransitionTable(
+        i=iu[keep],
+        j=ju[keep],
+        freq_mhz=freq[keep],
+        probability=prob[keep],
+        intensity=intens[keep],
+        energies=energies.copy(),
+        labels=system.labels,
+        b_mt=b_mt,
     )
-    return TransitionTable(rows=rows, energies=energies.copy(), labels=system.labels, b_mt=b_mt)
 
 
 def select_rows(table: TransitionTable, mode: str | None) -> TransitionTable:
     """Restrict a table to one microwave band.
 
-    ``"hi"`` keeps rows ending on a nominal m_S = +1 level; ``"lo"``
-    keeps rows with both endpoints in the m_S in {0, -1} manifold.
+    ``"hi"`` keeps transitions from a nominal m_S in {0, -1} level to a
+    nominal m_S = +1 level; ``"lo"`` keeps those with both levels in the
+    m_S in {0, -1} manifold.
     ``None`` keeps everything.
     """
     if mode is None:
         return table
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "hi":
-        rows = tuple(r for r in table.rows if r.label_to[0] == 1 and r.label_from[0] != 1)
-    else:
-        rows = tuple(
-            r for r in table.rows if r.label_from[0] in (0, -1) and r.label_to[0] in (0, -1)
-        )
-    return TransitionTable(rows=rows, energies=table.energies, labels=table.labels, b_mt=table.b_mt)
+    m_s = np.array([label[0] for label in table.labels])
+    m_from, m_to = m_s[table.i], m_s[table.j]
+    keep = (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
+    return replace(table, **{name: getattr(table, name)[keep] for name in _ENTRY_FIELDS})
 
 
 def transition_table(

@@ -119,6 +119,8 @@ def test_mc_config_validation():
         McConfig(iterations=0)
     with pytest.raises(ValidationError):
         McConfig(occupancy=1.5)
+    with pytest.raises(ValidationError, match="-1"):
+        McConfig(seed=-1)
 
 
 def test_dimension_law():

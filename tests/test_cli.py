@@ -159,11 +159,47 @@ def test_mc13_zero_occupancy_matches_simulate(tmp_path):
 def test_mc13_occupancy_out_of_range_is_validation_error(tmp_path):
     code = run(
         [
-            "mc13", "--b-mt", "102.4", "--grid", "0:40:0.5",
+            "mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5",
             "--iterations", "2", "--occupancy", "1.5", "--out", str(tmp_path / "x"),
         ]
     )
     assert code == 2
+
+
+def test_mc13_negative_seed_is_validation_error(tmp_path, capsys):
+    code = run(
+        [
+            "mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5",
+            "--iterations", "2", "--seed", "-1", "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "-1" in capsys.readouterr().err
+
+
+def test_mc13_grid_band_mismatch_is_validation_error(tmp_path, capsys):
+    # hi-band lines sit near 5.74 GHz at 102.4 mT; a 0-40 MHz grid holds
+    # nothing but Lorentzian tails
+    code = run(
+        [
+            "mc13", "--b-mt", "102.4", "--grid", "0:40:0.5",
+            "--iterations", "2", "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "hi-band" in capsys.readouterr().err
+
+
+def test_mc13_grid_on_carbon13_satellites_is_accepted(tmp_path):
+    # nearest-neighbour 13C satellites lie up to ~200 MHz from the
+    # carbon-free lines, beyond the 20-width Lorentzian margin
+    code = run(
+        [
+            "mc13", "--b-mt", "102.4", "--grid", "5800:5900:0.5",
+            "--iterations", "2", "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 0
 
 
 def test_fit_round_trip_via_cli(tmp_path):
@@ -262,7 +298,7 @@ def test_mc13_with_carbon13_present(tmp_path):
     assert any(sample_placement(cfg, k, families).n_c13 for k in range(cfg.iterations))
     code = run(
         [
-            "mc13", "--b-mt", "102.4", "--grid", "0:40:0.5",
+            "mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5",
             "--iterations", "8", "--occupancy", "0.011", "--seed", "2",
             "--out", str(tmp_path / "y"),
         ]

@@ -31,7 +31,16 @@ def test_lorentzian_peak_height_and_area():
 
 
 def test_synthesize_empty_table_gives_zeros():
-    table = TransitionTable(rows=(), energies=np.zeros(9), labels=tuple(range(9)))
+    none = np.array([])
+    table = TransitionTable(
+        i=none.astype(int),
+        j=none.astype(int),
+        freq_mhz=none,
+        probability=none,
+        intensity=none,
+        energies=np.zeros(9),
+        labels=tuple(range(9)),
+    )
     grid = np.linspace(0.0, 10.0, 11)
     spec = synthesize(table, 1.0, grid)
     assert np.all(spec.values == 0.0)
@@ -90,7 +99,13 @@ def test_synthesis_invariant_under_row_permutation():
     grid = np.arange(0.0, 30.0, 0.05)
     spec = synthesize(table, 1.0, grid)
     reversed_table = TransitionTable(
-        rows=tuple(reversed(table.rows)), energies=table.energies, labels=table.labels
+        i=table.i[::-1],
+        j=table.j[::-1],
+        freq_mhz=table.freq_mhz[::-1],
+        probability=table.probability[::-1],
+        intensity=table.intensity[::-1],
+        energies=table.energies,
+        labels=table.labels,
     )
     spec_r = synthesize(reversed_table, 1.0, grid)
     assert np.max(np.abs(spec.values - spec_r.values)) < 1e-12
@@ -235,3 +250,10 @@ def test_measured_spectrum_validation():
         MeasuredSpectrum(grid=np.array([1.0, 1.0]), values=np.array([0.0, 0.0]))
     with pytest.raises(ValidationError):
         MeasuredSpectrum(grid=np.array([1.0, 2.0]), values=np.array([0.0, np.inf]))
+
+
+def test_track_transition_either_label_order():
+    tables = [nv_table(b) for b in (90.0, 95.0, 102.4)]
+    assert track_transition(tables, (1, 1), (0, 1)) == track_transition(tables, (0, 1), (1, 1))
+    # a pair with no entry falls back to the level spacing in either order
+    assert track_transition(tables, (1, 1), (1, 0)) == track_transition(tables, (1, 0), (1, 1))

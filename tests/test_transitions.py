@@ -162,6 +162,20 @@ def test_table_invariants():
         )
 
 
+def test_rows_agree_with_arrays():
+    for table in (nv_table(102.4, beta=0.3), nv_table(95.0, mode="hi")):
+        rows = table.rows
+        assert len(table) == len(rows) > 0
+        for k, row in enumerate(rows):
+            assert row.i == table.i[k] and row.j == table.j[k]
+            assert row.freq_mhz == table.freq_mhz[k]
+            assert row.probability == table.probability[k]
+            assert row.intensity == table.intensity[k]
+            assert row.label_from == table.labels[table.i[k]]
+            assert row.label_to == table.labels[table.j[k]]
+            assert row.i < row.j
+
+
 def test_state_weights_modes():
     system = nv_system(95.0)
     w_nom = state_weights(system, beta=0.0)
