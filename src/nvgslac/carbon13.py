@@ -222,11 +222,13 @@ def mc_average_spectrum(
     width: float = 1.0,
     grid=None,
     mode: str | None = None,
+    families=None,
 ) -> SpectrumModel:
     """Pointwise mean spectrum over random carbon-13 placements.
 
-    Families come from ``cfg.family_file``.  Carbon projections enter the
-    population weighting uniformly (spectators).  Every placement is drawn
+    ``families`` defaults to ``load_families(cfg.family_file)``; pass them
+    when they are already loaded, so the file is read once.  Carbon
+    projections enter the population weighting uniformly (spectators).  Every placement is drawn
     before any Hamiltonian is built, and ``ResourceLimitError`` is raised
     if a draw has more than ``MAX_N_C13_DEFAULT`` sites.  Returns the mean
     curve and its per-point standard error; the same ``cfg`` gives the same
@@ -235,7 +237,8 @@ def mc_average_spectrum(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid must be nonempty")
-    families = load_families(cfg.family_file)
+    if families is None:
+        families = load_families(cfg.family_file)
     placements = [sample_placement(cfg, k, families) for k in range(cfg.iterations)]
     over = [p.n_c13 for p in placements if p.n_c13 > MAX_N_C13_DEFAULT]
     if over:

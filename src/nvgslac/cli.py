@@ -22,16 +22,17 @@ from .carbon13 import McConfig, load_families, mc_average_spectrum
 from .errors import NvGslacError, ParseError, ValidationError
 from .fitting import (
     FitParams,
+    FitResult,
     calibrate_field,
-    fit_report_document,
     fit_spectrum,
     polarization_sweep,
+    write_fit_report,
 )
 from .hamiltonian import (
     CONSTANT_UNITS,
     DEFAULT_CONSTANTS,
     FieldConfig,
-    build_nv_hamiltonian,
+    nv_eigensystems,
     parse_constants_file,
 )
 from .spectrum import (
@@ -41,7 +42,6 @@ from .spectrum import (
     synthesize,
     transitions_to_csv,
 )
-from .spin_core import eigensolve
 from .transitions import transition_table
 
 
@@ -90,8 +90,8 @@ def _provenance(args, constants, command: str) -> dict:
     }
 
 
-def _write_provenance(out_dir: Path, doc: dict) -> None:
-    with open(out_dir / "provenance.json", "w", encoding="utf-8") as fh:
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -129,9 +129,7 @@ def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Pat
         }
         if spec.stderr is not None:
             doc["stderr"] = [float(x) for x in spec.stderr]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
     else:
         path = out_dir / f"{stem}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -146,14 +144,12 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tables = []
-    spectra = []
-    for b in fields:
-        field_cfg = FieldConfig(b=b, theta_deg=args.theta_deg)
-        system = eigensolve(build_nv_hamiltonian(constants, field_cfg))
-        table = transition_table(system, args.beta, mode=args.mode, b_mt=b)
-        tables.append(table)
-        spectra.append(synthesize(table, args.width_mhz, grid))
+    systems = nv_eigensystems(constants, fields, theta_deg=args.theta_deg)
+    tables = [
+        transition_table(system, args.beta, mode=args.mode, b_mt=b)
+        for b, system in zip(fields, systems)
+    ]
+    spectra = [synthesize(table, args.width_mhz, grid) for table in tables]
     _check_grid_covers(grid, tables, 20.0 * args.width_mhz, args.mode)
 
     for b, spec in zip(fields, spectra):
@@ -162,7 +158,7 @@ def cmd_simulate(args) -> int:
         )
     with open(out_dir / f"transitions_{args.mode}.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(transitions_to_csv(tables))
-    _write_provenance(out_dir, _provenance(args, constants, "simulate"))
+    _write_json(out_dir / "provenance.json", _provenance(args, constants, "simulate"))
     return 0
 
 
@@ -180,9 +176,9 @@ def cmd_mc13(args) -> int:
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
     # Carbon-13 satellites sit up to about the largest principal hyperfine
     # value away from the carbon-free lines.
-    base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
+    base = nv_eigensystems(constants, [args.b_mt], theta_deg=args.theta_deg)[0]
     table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
-    families = load_families(cfg.family_file)
+    families = load_families(cfg.family_file)  # once: parsing warns about custom sets
     shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
     _check_grid_covers(grid, [table], 20.0 * args.width_mhz + shift, args.mode)
     spec = mc_average_spectrum(
@@ -193,26 +189,17 @@ def cmd_mc13(args) -> int:
         width=args.width_mhz,
         grid=grid,
         mode=args.mode,
+        families=families,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean_only = replace(spec, meta=None, stderr=None)
-    _write_spectrum(
-        out_dir,
-        f"mc_spectrum_{args.mode}_b{args.b_mt:.6g}",
-        mean_only,
-        _spectrum_meta(args, args.b_mt),
-        args.format,
-    )
-    stderr_spec = replace(spec, meta=None)
-    _write_spectrum(
-        out_dir,
-        f"mc_stderr_{args.mode}_b{args.b_mt:.6g}",
-        stderr_spec,
-        _spectrum_meta(args, args.b_mt),
-        args.format,
-    )
-    _write_provenance(out_dir, _provenance(args, constants, "mc13"))
+    for kind, curves in (
+        ("spectrum", replace(spec, meta=None, stderr=None)),
+        ("stderr", replace(spec, meta=None)),
+    ):
+        stem = f"mc_{kind}_{args.mode}_b{args.b_mt:.6g}"
+        _write_spectrum(out_dir, stem, curves, _spectrum_meta(args, args.b_mt), args.format)
+    _write_json(out_dir / "provenance.json", _provenance(args, constants, "mc13"))
     return 0
 
 
@@ -228,12 +215,9 @@ def cmd_fit(args) -> int:
     result = fit_spectrum(data, initial, mode=args.mode, constants=constants)
     provenance = _provenance(args, constants, "fit")
     provenance["input"] = str(args.input)
-    doc = fit_report_document(result, provenance)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_fit_report(out, result, provenance)
     return 0
 
 
@@ -263,25 +247,8 @@ def cmd_calibrate(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, doc)
     return 0
-
-
-class _ReportFit:
-    """Adapter exposing a stored fit report to polarization_sweep."""
-
-    def __init__(self, doc: dict):
-        self.params = FitParams(
-            beta=doc["params"]["beta"],
-            b=doc["params"]["b_mt"],
-            width=doc["params"]["width_mhz"],
-            theta_deg=doc["params"].get("theta_deg", 0.0),
-            manifold_split=doc["params"].get("manifold_split", 1.0),
-        )
-        self.peak_areas = doc["peak_areas"]
-        self.peak_strengths = doc["peak_strengths"]
 
 
 def cmd_polarization(args) -> int:
@@ -291,8 +258,8 @@ def cmd_polarization(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            fits.append(_ReportFit(doc))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            fits.append(FitResult.from_document(doc))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}: not a valid fit report ({exc})") from None
     fits.sort(key=lambda fit: fit.params.b)
     rows = polarization_sweep(fits, constants=constants)

@@ -12,6 +12,11 @@ lower-energy state: the normalized nitrogen weight of that state's nominal
 m_I, times the electron-manifold share (m_S = +1 states are empty; the
 m_S = 0 / -1 split is ``manifold_split``), times a uniform factor over any
 carbon-13 projections.
+
+For the 9-dim space the dipole operator, the product-basis m_S / m_I and
+the (i < j) pairs are the cached arrays of ``nv_spin_model()``; carbon-13
+spaces build them per call.  A level's m_S / m_I are read through its
+``label_index``, so weights and band masks are array lookups.
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import EigenSystem, default_basis_labels, embed, spin_matrices
+from .spin_core import EigenSystem, basis_projections, nv_spin_model, product_basis_labels
 
 FLOOR_REL_DEFAULT = 1e-6
 POPULATION_MODES = ("nominal", "composition")
 MODES = ("hi", "lo")
 
-_MI_INDEX = {1: 0, 0: 1, -1: 2}  # populations are ordered m_I = +1, 0, -1
 _ENTRY_FIELDS = ("i", "j", "freq_mhz", "probability", "intensity")  # one value per transition
 
 
@@ -68,9 +72,10 @@ class TransitionTable:
     Entry k connects level ``i[k]`` (the lower one, which supplies the
     population weight) to level ``j[k]``, with ``i[k] < j[k]``, at
     ``freq_mhz[k]``, with transition probability ``probability[k]`` and
-    population-weighted ``intensity[k]``.  ``energies`` and ``labels``
-    describe all levels of the eigen-system the entries were computed
-    from, so absent transitions can still be located.
+    population-weighted ``intensity[k]``.  ``energies``, ``labels`` and
+    ``label_index`` (as in :class:`EigenSystem`) describe all levels of the
+    eigen-system the entries were computed from, so absent transitions can
+    still be located.
     """
 
     i: np.ndarray
@@ -81,6 +86,7 @@ class TransitionTable:
     energies: np.ndarray
     labels: tuple
     b_mt: float | None = None
+    label_index: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.i.size
@@ -95,21 +101,29 @@ class TransitionTable:
         )
 
 
-def _subsystem_dims(system: EigenSystem) -> tuple:
-    if system.labels is None or not isinstance(system.labels[0], tuple):
-        raise ValidationError("eigen-system must carry product-basis labels")
-    n_c13 = len(system.labels[0]) - 2
-    dims = (3, 3) + (2,) * n_c13
-    if int(np.prod(dims)) != system.dim:
-        raise ValidationError("label structure does not match system dimension")
-    return dims
+def _nominal_projections(labels: tuple, label_index) -> tuple:
+    """(m_S, m_I) arrays of each level's nominal label, read through its product-basis index."""
+    n_c13 = len(labels[0]) - 2
+    if label_index is None:  # labels assigned by hand: find them in the product basis
+        position = {label: k for k, label in enumerate(product_basis_labels(n_c13))}
+        try:
+            label_index = np.array([position[label] for label in labels])
+        except KeyError as exc:
+            raise ValidationError(f"{exc.args[0]!r} is not a product-basis label") from None
+    ms, mi = basis_projections(n_c13)
+    return ms[label_index], mi[label_index]
 
 
 def dipole_elements(system: EigenSystem) -> np.ndarray:
     """Electron (S+ + S-) operator in the eigenbasis (prefactor 1)."""
-    dims = _subsystem_dims(system)
-    e = spin_matrices(1.0)
-    dip = embed(e.s_plus + e.s_minus, 0, dims)
+    if system.labels is None or not isinstance(system.labels[0], tuple):
+        raise ValidationError("eigen-system must carry product-basis labels")
+    n_c13 = len(system.labels[0]) - 2
+    if 9 * 2 ** n_c13 != system.dim:
+        raise ValidationError("label structure does not match system dimension")
+    dip = nv_spin_model().dipole
+    if n_c13:  # identity on the carbon-13 slots; not cached, it grows as 4**N
+        dip = np.kron(dip, np.eye(2 ** n_c13))
     return system.vectors.conj().T @ dip @ system.vectors
 
 
@@ -140,19 +154,14 @@ def state_weights(
         )
     if not 0.0 <= manifold_split <= 1.0:
         raise ValidationError(f"manifold_split must lie in [0, 1], got {manifold_split!r}")
-    pops = populations(beta).normalized
-    share = {1: 0.0, 0: manifold_split, -1: 1.0 - manifold_split}
+    pops = populations(beta).normalized  # ordered m_I = +1, 0, -1
+    share = np.array([0.0, manifold_split, 1.0 - manifold_split])  # m_S = +1, 0, -1
     n_c13 = len(system.labels[0]) - 2
-    c13_factor = 0.5 ** n_c13
-
-    def basis_weight(label):
-        return share[label[0]] * pops[_MI_INDEX[label[1]]] * c13_factor
-
     if population_mode == "nominal":
-        return np.array([basis_weight(label) for label in system.labels])
-    basis_labels = default_basis_labels(system.dim)
-    basis_w = np.array([basis_weight(label) for label in basis_labels])
-    return (np.abs(system.vectors) ** 2).T @ basis_w
+        ms, mi = _nominal_projections(system.labels, system.label_index)
+        return share[1 - ms] * pops[1 - mi] * 0.5 ** n_c13
+    ms, mi = basis_projections(n_c13)
+    return (np.abs(system.vectors) ** 2).T @ (share[1 - ms] * pops[1 - mi] * 0.5 ** n_c13)
 
 
 def intensity_matrix(
@@ -175,7 +184,7 @@ def intensity_matrix(
         raise ValidationError("probability matrix does not match the eigen-system dimension")
     weights = state_weights(system, beta, manifold_split, population_mode)
     energies = system.energies
-    iu, ju = np.triu_indices(system.dim, k=1)
+    iu, ju = nv_spin_model().triu if system.dim == 9 else np.triu_indices(system.dim, k=1)
     freq = energies[ju] - energies[iu]  # ascending energies: j above i
     prob = p[iu, ju]
     intens = prob * weights[iu]
@@ -189,6 +198,7 @@ def intensity_matrix(
         energies=energies.copy(),
         labels=system.labels,
         b_mt=b_mt,
+        label_index=system.label_index,
     )
 
 
@@ -204,7 +214,7 @@ def select_rows(table: TransitionTable, mode: str | None) -> TransitionTable:
         return table
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    m_s = np.array([label[0] for label in table.labels])
+    m_s, _ = _nominal_projections(table.labels, table.label_index)
     m_from, m_to = m_s[table.i], m_s[table.j]
     keep = (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
     return replace(table, **{name: getattr(table, name)[keep] for name in _ENTRY_FIELDS})
@@ -220,15 +230,6 @@ def transition_table(
     b_mt: float | None = None,
 ) -> TransitionTable:
     """Full pipeline from an eigen-system to a (possibly band-limited) table."""
-    m = dipole_elements(system)
-    p = transition_probabilities(m)
-    table = intensity_matrix(
-        p,
-        system,
-        beta,
-        manifold_split=manifold_split,
-        floor_rel=floor_rel,
-        population_mode=population_mode,
-        b_mt=b_mt,
-    )
+    p = transition_probabilities(dipole_elements(system))
+    table = intensity_matrix(p, system, beta, manifold_split, floor_rel, population_mode, b_mt)
     return select_rows(table, mode)

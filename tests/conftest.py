@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
-from nvgslac.spin_core import eigensolve, product_basis_labels
+from nvgslac.spin_core import eigensolve
 from nvgslac.transitions import transition_table
 
 
@@ -13,7 +13,7 @@ def constants():
 
 def nv_system(b, theta_deg=0.0, constants=DEFAULT_CONSTANTS):
     h = build_nv_hamiltonian(constants, FieldConfig(b=b, theta_deg=theta_deg))
-    return eigensolve(h, product_basis_labels(0))
+    return eigensolve(h)
 
 
 def nv_table(b, beta=0.0, mode=None, theta_deg=0.0, constants=DEFAULT_CONSTANTS, **kwargs):

@@ -304,3 +304,18 @@ def test_mc13_with_carbon13_present(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_mc13_parses_a_custom_family_file_once(tmp_path):
+    families = tmp_path / "families.csv"
+    families.write_text(
+        "label,multiplicity,axx_mhz,ayy_mhz,azz_mhz,cos_zz,source\n"
+        "nine,9,13.0,13.0,19.5,0.829,test set\n"
+    )
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--iterations", "4"]
+    args += ["--families", str(families), "--out", str(tmp_path / "mc")]
+    with pytest.warns(UserWarning) as record:
+        assert run(args) == 0
+    assert [str(w.message) for w in record] == [
+        f"family file {families} covers 9 sites, not the default 39"
+    ]

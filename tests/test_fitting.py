@@ -12,6 +12,7 @@ from nvgslac.fitting import (
     B_SCAN_STEP_MT,
     CalibrationModel,
     FitParams,
+    FitResult,
     alignment,
     calibrate_field,
     fit_report_document,
@@ -202,6 +203,14 @@ def test_fit_report_document_round_trip(tmp_path):
     assert loaded["params"]["beta"] == pytest.approx(doc["params"]["beta"])
     assert loaded["provenance"]["input"] == "x.csv"
     assert set(loaded["peak_areas"]) == set(doc["peak_areas"])
+
+
+def test_fit_result_from_document_round_trip():
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
+    doc = json.loads(json.dumps(fit_report_document(result, {"input": "x.csv"})))
+    assert FitResult.from_document(doc) == result
+    assert polarization_sweep([FitResult.from_document(doc)]) == polarization_sweep([result])
 
 
 def test_calibration_exact_line():
