@@ -228,11 +228,11 @@ def mc_average_spectrum(
 
     ``families`` defaults to ``load_families(cfg.family_file)``; pass them
     when they are already loaded, so the file is read once.  Carbon
-    projections enter the population weighting uniformly (spectators).  Every placement is drawn
-    before any Hamiltonian is built, and ``ResourceLimitError`` is raised
-    if a draw has more than ``MAX_N_C13_DEFAULT`` sites.  Returns the mean
-    curve and its per-point standard error; the same ``cfg`` gives the same
-    result.
+    projections enter the population weighting uniformly (spectators).
+    Every placement is drawn before any Hamiltonian is built, and
+    ``ResourceLimitError`` is raised if a draw has more than
+    ``MAX_N_C13_DEFAULT`` sites.  Returns the mean curve and its per-point
+    standard error; the same ``cfg`` gives the same result.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:

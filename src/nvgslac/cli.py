@@ -32,7 +32,7 @@ from .hamiltonian import (
     CONSTANT_UNITS,
     DEFAULT_CONSTANTS,
     FieldConfig,
-    nv_eigensystems,
+    build_nv_hamiltonian,
     parse_constants_file,
 )
 from .spectrum import (
@@ -42,6 +42,7 @@ from .spectrum import (
     synthesize,
     transitions_to_csv,
 )
+from .spin_core import eigensolve
 from .transitions import transition_table
 
 
@@ -144,12 +145,14 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    systems = nv_eigensystems(constants, fields, theta_deg=args.theta_deg)
-    tables = [
-        transition_table(system, args.beta, mode=args.mode, b_mt=b)
-        for b, system in zip(fields, systems)
-    ]
-    spectra = [synthesize(table, args.width_mhz, grid) for table in tables]
+    tables = []
+    spectra = []
+    for b in fields:
+        field_cfg = FieldConfig(b=b, theta_deg=args.theta_deg)
+        system = eigensolve(build_nv_hamiltonian(constants, field_cfg))
+        table = transition_table(system, args.beta, mode=args.mode, b_mt=b)
+        tables.append(table)
+        spectra.append(synthesize(table, args.width_mhz, grid))
     _check_grid_covers(grid, tables, 20.0 * args.width_mhz, args.mode)
 
     for b, spec in zip(fields, spectra):
@@ -176,7 +179,7 @@ def cmd_mc13(args) -> int:
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
     # Carbon-13 satellites sit up to about the largest principal hyperfine
     # value away from the carbon-free lines.
-    base = nv_eigensystems(constants, [args.b_mt], theta_deg=args.theta_deg)[0]
+    base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
     table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
     families = load_families(cfg.family_file)  # once: parsing warns about custom sets
     shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
@@ -193,12 +196,22 @@ def cmd_mc13(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind, curves in (
-        ("spectrum", replace(spec, meta=None, stderr=None)),
-        ("stderr", replace(spec, meta=None)),
-    ):
-        stem = f"mc_{kind}_{args.mode}_b{args.b_mt:.6g}"
-        _write_spectrum(out_dir, stem, curves, _spectrum_meta(args, args.b_mt), args.format)
+    mean_only = replace(spec, meta=None, stderr=None)
+    _write_spectrum(
+        out_dir,
+        f"mc_spectrum_{args.mode}_b{args.b_mt:.6g}",
+        mean_only,
+        _spectrum_meta(args, args.b_mt),
+        args.format,
+    )
+    stderr_spec = replace(spec, meta=None)
+    _write_spectrum(
+        out_dir,
+        f"mc_stderr_{args.mode}_b{args.b_mt:.6g}",
+        stderr_spec,
+        _spectrum_meta(args, args.b_mt),
+        args.format,
+    )
     _write_json(out_dir / "provenance.json", _provenance(args, constants, "mc13"))
     return 0
 

@@ -50,7 +50,8 @@ from .spin_core import eigensolve, format_label
 from .transitions import TransitionTable, transition_table
 
 B_FREE_THRESHOLD_MT = 0.5
-# Largest start-field scan step: below the 0.076 mT 14N spacing (see the module docstring).
+# Largest step of the start-field scan; below the 14N spacing |a_par| / gamma_e
+# = 2.14 MHz / 28.0 MHz/mT = 0.076 mT (see the module docstring).
 B_SCAN_STEP_MT = 0.05
 GSLAC_CONFIDENCE_WINDOW_MT = 0.15
 # Start search: a beta x width scoring grid, and Nelder-Mead from the best starts.
@@ -101,9 +102,14 @@ class FitResult:
         diagnostics read as NaN, empty or 0.
         """
         p = doc["params"]
-        angle, split = p.get("theta_deg", 0.0), p.get("manifold_split", 1.0)
         return cls(
-            params=FitParams(p["beta"], p["b_mt"], p["width_mhz"], angle, split),
+            params=FitParams(
+                beta=p["beta"],
+                b=p["b_mt"],
+                width=p["width_mhz"],
+                theta_deg=p.get("theta_deg", 0.0),
+                manifold_split=p.get("manifold_split", 1.0),
+            ),
             chi2_red=doc.get("chi2_red", math.nan),
             peak_areas=dict(doc["peak_areas"]),
             peak_strengths=dict(doc["peak_strengths"]),
@@ -196,10 +202,16 @@ def fit_spectrum(
 ) -> FitResult:
     """Fit one measured sweep by derivative-free chi-squared minimization.
 
-    The field scan and the start grid are described in the module
-    docstring.  Nelder-Mead runs from the best ``N_RESTARTS`` (2) of the
-    ``START_GRID`` (5 x 5) starts (step tolerance 1e-4, value tolerance
-    1e-10).  Parameters stay within ``DEFAULT_BOUNDS``.
+    The field is freed (within +-0.5 mT bounds) only when the initial
+    value lies more than 0.5 mT from the anticrossing; otherwise it stays
+    fixed and the manifold split is freed.  When the field is free, it is
+    first scanned over its bounds in steps of at most ``B_SCAN_STEP_MT``
+    (0.05 mT, below the 0.076 mT 14N line spacing in field units) with
+    beta and width at their initial values, and the best-matching field
+    becomes the start field.  Candidate starts then come from a
+    ``START_GRID`` (5 x 5) beta x width grid at the start field; Nelder-Mead
+    is run from the best ``N_RESTARTS`` (2) of them (step tolerance 1e-4,
+    value tolerance 1e-10).  Parameters stay within ``DEFAULT_BOUNDS``.
 
     Every scan, grid and search evaluation counts towards
     ``n_evaluations`` and is spent from ``max_evaluations``; the starts
@@ -212,15 +224,27 @@ def fit_spectrum(
     bounds = dict(DEFAULT_BOUNDS)
     b_center = gslac_field(constants)
     b_free = abs(initial.b - b_center) > B_FREE_THRESHOLD_MT
-    names = ["beta", "width", "b" if b_free else "manifold_split"]
+    split_free = not b_free
+
+    names = ["beta", "width"]
     if b_free:
+        names.append("b")
         bounds["b"] = (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT)
+    if split_free:
+        names.append("manifold_split")
 
     eval_count = 0
     best = {"chi2": math.inf, "x": None, "scale": 0.0}
 
     def unpack(x) -> FitParams:
-        return replace(initial, **dict(zip(names, x)))  # names are FitParams fields
+        values = dict(zip(names, x))
+        return replace(
+            initial,
+            beta=values.get("beta", initial.beta),
+            width=values.get("width", initial.width),
+            b=values.get("b", initial.b),
+            manifold_split=values.get("manifold_split", initial.manifold_split),
+        )
 
     def penalized_chi2(x) -> tuple:
         """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale)."""
@@ -261,13 +285,20 @@ def fit_spectrum(
     )
 
     def start_vector(beta0, width0, b0):
-        return [beta0, width0, b0 if b_free else initial.manifold_split]
+        x0 = [beta0, width0]
+        if b_free:
+            x0.append(b0)
+        if split_free:
+            x0.append(initial.manifold_split)
+        return x0
 
     def score(vectors) -> list:
         """(objective, vector) pairs, for as many vectors as the budget allows."""
         return [(objective(x), x) for x in vectors[: max(0, max_evaluations - eval_count)]]
 
-    # With the field free, scan it first (see the module docstring for why).
+    # With the field free, scan it over its bounds first: scored at the
+    # start field, the grid below favours one broad line whenever the start
+    # is about one 14N spacing off (see the module docstring).
     b_starts = [initial.b]
     if b_free:
         b_lo, b_hi = bounds["b"]
@@ -323,11 +354,18 @@ def fit_spectrum(
     # are not search evaluations, so they neither count nor move ``best``.
     curvatures = {}
     x_best = np.asarray(best["x"], dtype=float)
-    h = 1e-3
-    for name, step in zip(names, h * np.eye(len(names))):
-        up, down = penalized_chi2(x_best + step)[0], penalized_chi2(x_best - step)[0]
+    for k, name in enumerate(names):
+        h = 1e-3
+        plus = x_best.copy()
+        minus = x_best.copy()
+        plus[k] += h
+        minus[k] -= h
+        up, down = penalized_chi2(plus)[0], penalized_chi2(minus)[0]
         curvatures[name] = (up - 2.0 * chi2 + down) / h ** 2
 
+    flags = []
+    if not b_free:
+        flags.append("b_fixed_near_gslac")
     return FitResult(
         params=params,
         chi2_red=chi2,
@@ -336,7 +374,7 @@ def fit_spectrum(
         scale=scale,
         curvatures=curvatures,
         n_evaluations=eval_count,
-        flags=() if b_free else ("b_fixed_near_gslac",),
+        flags=tuple(flags),
     )
 
 
@@ -406,10 +444,21 @@ def polarization_sweep(
         total = sum(pops)
         if total > 0:
             normalized = tuple(p / total for p in pops)
-            moments = orientation(normalized), alignment(normalized)
-            report = PolarizationReport(*moments, normalized, low_confidence, tuple(flags))
+            report = PolarizationReport(
+                orientation=orientation(normalized),
+                alignment=alignment(normalized),
+                populations=normalized,
+                low_confidence=low_confidence,
+                flags=tuple(flags),
+            )
         else:
-            report = PolarizationReport(0.0, 0.0, (0.0, 0.0, 0.0), True, (*flags, "no_population"))
+            report = PolarizationReport(
+                orientation=0.0,
+                alignment=0.0,
+                populations=(0.0, 0.0, 0.0),
+                low_confidence=True,
+                flags=tuple(flags) + ("no_population",),
+            )
         out.append((fit.params.b, report))
     return out
 

@@ -190,7 +190,7 @@ def build_nv_hamiltonian(
     nx, ny, nz = field_cfg.direction()
     b = field_cfg.b
     c = constants
-    return (
+    h = (
         c.d_g * m.sz2
         + c.gamma_e * b * (nx * m.sx + ny * m.sy + nz * m.sz)
         + c.q * m.iz2
@@ -198,6 +198,7 @@ def build_nv_hamiltonian(
         + c.a_perp * m.flip_flop
         + c.a_par * m.szi
     )
+    return h
 
 
 def truncated_hamiltonian(constants: PhysicalConstants, b: float) -> np.ndarray:
@@ -292,18 +293,28 @@ def analytic_eigenstates(
     Each column is normalized; pairing with :func:`analytic_energies`
     holds exactly for the ``"minus"`` convention.
     """
-    if constants.a_perp == 0.0:
+    _check_kappa2_sign(kappa2_sign)
+    c = constants
+    if c.a_perp == 0.0:
         raise ValidationError("transverse hyperfine coupling must be nonzero")
-    sign_a = 1.0 if constants.a_perp > 0 else -1.0
-    # the block gaps over 2 |a_perp|
-    kt1, kt2 = (sign_a * k for k in kappa_parameters(constants, float(b), kappa2_sign))
+    sign_a = 1.0 if c.a_perp > 0 else -1.0
+    abs_a = abs(c.a_perp)
+    ze = c.gamma_e * float(b)
+    kt1 = (c.d_g + c.q - c.a_par - ze) / (2.0 * abs_a)
+    num2 = (c.d_g - c.q - ze) if kappa2_sign == "minus" else (c.d_g + c.q - ze)
+    kt2 = num2 / (2.0 * abs_a)
 
     v = np.zeros((9, 9), dtype=complex)
     v[basis_index(0, 1), 0] = 1.0       # level 1
     v[basis_index(-1, -1), 1] = 1.0     # level 2
-    # levels 3, 4 and 5, 6: (lower, upper) columns over their two block states
-    v[[basis_index(-1, 1), basis_index(0, 0)], 2:4] = np.column_stack(_pair_vectors(kt1, sign_a))
-    v[[basis_index(-1, 0), basis_index(0, -1)], 4:6] = np.column_stack(_pair_vectors(kt2, sign_a))
+    low1, up1 = _pair_vectors(kt1, sign_a)
+    for col, vec in ((2, low1), (3, up1)):  # levels 3, 4
+        v[basis_index(-1, 1), col] = vec[0]
+        v[basis_index(0, 0), col] = vec[1]
+    low2, up2 = _pair_vectors(kt2, sign_a)
+    for col, vec in ((4, low2), (5, up2)):  # levels 5, 6
+        v[basis_index(-1, 0), col] = vec[0]
+        v[basis_index(0, -1), col] = vec[1]
     v[basis_index(1, 1), 6] = 1.0       # level 7
     v[basis_index(1, -1), 7] = 1.0      # level 8
     v[basis_index(1, 0), 8] = 1.0       # level 9
@@ -319,47 +330,19 @@ def truncated_eigensystem(constants: PhysicalConstants, b: float) -> EigenSystem
     """
     h6 = truncated_hamiltonian(constants, b)
     energies6, vectors6 = np.linalg.eigh(h6)
-    # |+1,+1>, |+1,0>, |+1,-1> with the closed-form energies of levels 7, 9, 8
-    energies = np.concatenate([energies6, analytic_energies(constants, b)[[6, 8, 7]]])
+    c = constants
+    ze = c.gamma_e * b
+    plus_energies = np.array(
+        [c.d_g + c.q + c.a_par + ze, c.d_g + ze, c.d_g + c.q - c.a_par + ze]
+    )
+    energies = np.concatenate([energies6, plus_energies])
     vectors = np.zeros((9, 9), dtype=complex)
     vectors[3:, :6] = vectors6
-    vectors[:3, 6:] = np.eye(3)
+    for col, (ms, mi) in enumerate(((1, 1), (1, 0), (1, -1)), start=6):
+        vectors[basis_index(ms, mi), col] = 1.0
     order = np.argsort(energies, kind="stable")
     system = EigenSystem(energies=energies[order], vectors=vectors[:, order])
     return label_states(system, NV_N14_LABELS)
-
-
-def nv_eigensystems(
-    constants: PhysicalConstants,
-    fields,
-    theta_deg: float = 0.0,
-    phi_deg: float = 0.0,
-    track: bool = False,
-) -> list:
-    """Eigen-systems at each field, all solved with one stacked (n, 9, 9) ``eigh``.
-
-    Each matrix of the stack gives the same bits as its own ``eigh``, and
-    every point is labeled by basis overlap as in ``eigensolve``.  With
-    ``track`` only the first point is; each further point inherits labels
-    from its predecessor through greedy eigenvector overlap matching, so a
-    label follows one adiabatic branch through anticrossings.
-    """
-    field_cfgs = [FieldConfig(float(b), theta_deg, phi_deg) for b in fields]
-    if not field_cfgs:
-        raise ValidationError("field range must be nonempty")
-    hs = np.stack([build_nv_hamiltonian(constants, field_cfg) for field_cfg in field_cfgs])
-    require_hermitian(hs)
-    systems = []
-    for e, v in zip(*np.linalg.eigh(hs)):
-        if track and systems:
-            prev = systems[-1]
-            overlap = np.abs(prev.vectors.conj().T @ v) ** 2  # [prev_k, k]
-            assign = _greedy_bijection(overlap.T)  # new k -> prev k
-            labels = tuple(prev.labels[a] for a in assign.tolist())
-            systems.append(EigenSystem(e, v, labels, prev.label_index[assign]))
-        else:
-            systems.append(label_states(EigenSystem(e, v)))
-    return systems
 
 
 def level_sweep(
@@ -368,5 +351,33 @@ def level_sweep(
     theta_deg: float = 0.0,
     phi_deg: float = 0.0,
 ) -> list:
-    """Eigen-systems over a field range, labels tracked continuously (``nv_eigensystems``)."""
-    return nv_eigensystems(constants, fields, theta_deg, phi_deg, track=True)
+    """Eigen-systems over a field range with labels tracked continuously.
+
+    All fields are solved with one stacked (n, 9, 9) ``eigh``, after a
+    Hermiticity check of every matrix; each matrix of the stack gives the
+    same bits as its own ``eigh``.  The first point is labeled by basis
+    overlap; each further point inherits labels from its predecessor
+    through greedy eigenvector overlap matching, so a label follows one
+    adiabatic branch through anticrossings.
+    """
+    fields = [float(b) for b in fields]
+    if not fields:
+        raise ValidationError("field range must be nonempty")
+    hs = np.stack([
+        build_nv_hamiltonian(constants, FieldConfig(b=b, theta_deg=theta_deg, phi_deg=phi_deg))
+        for b in fields
+    ])
+    require_hermitian(hs)
+    systems = []
+    prev = None
+    for energies, vectors in zip(*np.linalg.eigh(hs)):
+        if prev is None:
+            system = label_states(EigenSystem(energies, vectors), NV_N14_LABELS)
+        else:
+            overlap = np.abs(prev.vectors.conj().T @ vectors) ** 2  # [prev_k, k]
+            assign = _greedy_bijection(overlap.T)  # new k -> prev k
+            labels = tuple(prev.labels[assign[k]] for k in range(9))
+            system = EigenSystem(energies=energies, vectors=vectors, labels=labels)
+        systems.append(system)
+        prev = system
+    return systems

@@ -144,13 +144,15 @@ def spectrum_to_csv(spec, extra_meta: dict | None = None) -> str:
         value = meta[key]
         text = _format_number(value) if isinstance(value, (int, float)) else str(value)
         buf.write(f"# {key}={text}\n")
-    columns = [spec.grid, spec.values]
-    if getattr(spec, "stderr", None) is not None:
-        columns.append(spec.stderr)
-    buf.write("freq_mhz,value,stderr\n" if len(columns) == 3 else "freq_mhz,value\n")
-    row_format = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
-    for row in zip(*(np.asarray(column, dtype=float).tolist() for column in columns)):
-        buf.write(row_format % row)
+    stderr = getattr(spec, "stderr", None)
+    if stderr is None:
+        buf.write("freq_mhz,value\n")
+        for f, v in zip(spec.grid, spec.values):
+            buf.write(f"{_format_number(f)},{_format_number(v)}\n")
+    else:
+        buf.write("freq_mhz,value,stderr\n")
+        for f, v, s in zip(spec.grid, spec.values, stderr):
+            buf.write(f"{_format_number(f)},{_format_number(v)},{_format_number(s)}\n")
     return buf.getvalue()
 
 
@@ -171,12 +173,18 @@ def read_spectrum_csv(path, invert: bool = False) -> MeasuredSpectrum:
             if not line:
                 continue
             if line.startswith("#"):
-                key, equals, value = (part.strip() for part in line[1:].partition("="))
-                if equals:
-                    try:
-                        meta[key] = float(value) if key in _META_KEYS else value
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: bad metadata value {value!r}") from None
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    key = key.strip()
+                    value = value.strip()
+                    if key in _META_KEYS:
+                        try:
+                            meta[key] = float(value)
+                        except ValueError:
+                            raise ParseError(f"{path}:{lineno}: bad metadata value {value!r}") from None
+                    else:
+                        meta[key] = value
                 continue
             if not header_seen:
                 fields = [f.strip() for f in line.split(",")]

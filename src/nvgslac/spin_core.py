@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,12 +84,8 @@ def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
 def is_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     """True when h, or every matrix of a stack (n, d, d), is Hermitian within rtol of its norm."""
     h = np.asarray(h)
-    if h.ndim > 2:
-        return all(is_hermitian(m, rtol) for m in h)
-    scale = np.linalg.norm(h)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(h - h.conj().T) <= rtol * scale
+    scale = np.linalg.norm(h, axis=(-2, -1))
+    return bool(np.all(np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)) <= rtol * scale))
 
 
 def require_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
@@ -109,20 +105,14 @@ def product_basis_labels(n_c13: int = 0) -> tuple:
 
 def default_basis_labels(dim: int) -> tuple:
     """Product labels when dim = 9 * 2**n, plain indices otherwise."""
-    if dim == 9:
-        return nv_spin_model().labels
-    n = max((dim // 9).bit_length() - 1, 0)
-    return product_basis_labels(n) if dim == 9 << n else tuple(range(dim))
-
-
-def basis_projections(n_c13: int = 0) -> tuple:
-    """(m_S, m_I) integer arrays of every product-basis state, in Kronecker order."""
-    if n_c13 == 0:
-        model = nv_spin_model()
-        return model.ms, model.mi
-    per_nv = 2 ** n_c13
-    nv = np.arange(9 * per_nv) // per_nv  # position of the |m_S, m_I> factor
-    return 1 - nv // 3, 1 - nv % 3
+    n = 0
+    d = dim
+    while d > 9 and d % 2 == 0:
+        d //= 2
+        n += 1
+    if d == 9:
+        return product_basis_labels(n)
+    return tuple(range(dim))
 
 
 @dataclass(frozen=True)
@@ -132,9 +122,8 @@ class SpinModel:
     The embedded electron (``sx, sy, sz``) and nitrogen (``ix, iy, iz``)
     spins, the products ``sz2 = sz @ sz``, ``iz2 = iz @ iz``,
     ``flip_flop = sx @ ix + sy @ iy`` and ``szi = sz @ iz``, the electron
-    (S+ + S-) ``dipole``, the product-basis ``labels`` with their ``ms`` and
-    ``mi``, and the ``triu`` (i < j) pairs.  Carbon-13 spaces are not
-    cached: their operators grow as 2**N.
+    (S+ + S-) ``dipole`` and the ``triu`` (i < j) level pairs.  Carbon-13
+    spaces are not cached: their operators grow as 2**N.
     """
 
     sx: np.ndarray
@@ -148,9 +137,6 @@ class SpinModel:
     flip_flop: np.ndarray
     szi: np.ndarray
     dipole: np.ndarray
-    labels: tuple
-    ms: np.ndarray
-    mi: np.ndarray
     triu: np.ndarray
 
 
@@ -161,17 +147,15 @@ def nv_spin_model() -> SpinModel:
     e = spin_matrices(1.0)
     sx, sy, sz = (embed(op, 0, dims) for op in (e.sx, e.sy, e.sz))
     ix, iy, iz = (embed(op, 1, dims) for op in (e.sx, e.sy, e.sz))
-    labels = product_basis_labels(0)
-    ms, mi = np.array(labels).T
-    arrays = dict(
+    model = SpinModel(
         sx=sx, sy=sy, sz=sz, ix=ix, iy=iy, iz=iz,
         sz2=sz @ sz, iz2=iz @ iz, flip_flop=sx @ ix + sy @ iy, szi=sz @ iz,
         dipole=embed(e.s_plus + e.s_minus, 0, dims),
-        ms=ms, mi=mi, triu=np.array(np.triu_indices(9, k=1)),
+        triu=np.array(np.triu_indices(9, k=1)),
     )
-    for array in arrays.values():
+    for array in vars(model).values():
         array.setflags(write=False)
-    return SpinModel(labels=labels, **arrays)
+    return model
 
 
 def format_label(label) -> str:
@@ -216,15 +200,12 @@ class EigenSystem:
 
     ``energies`` ascend; column k of ``vectors`` belongs to energies[k];
     ``labels[k]`` is the product-basis label with maximum squared overlap
-    (assigned bijectively).  ``label_index[k]`` is the position of
-    ``labels[k]`` in ``default_basis_labels(dim)``, or None when the labels
-    came from another basis enumeration.
+    (assigned bijectively).
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     labels: tuple | None = None
-    label_index: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -255,23 +236,19 @@ def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     return np.array(assign)
 
 
-def label_states(system: EigenSystem, basis_labels=None) -> EigenSystem:
+def label_states(system: EigenSystem, basis_labels) -> EigenSystem:
     """Attach to each eigenvector the basis label of maximum squared overlap.
 
     The assignment is a bijection: overlaps are visited in descending
-    order and a label is used at most once.  ``None`` means
-    ``default_basis_labels(dim)``; against those labels the assignment
-    itself is kept as ``label_index``.
+    order and a label is used at most once.
     """
-    default = default_basis_labels(system.dim)
-    basis_labels = default if basis_labels is None else tuple(basis_labels)
+    basis_labels = tuple(basis_labels)
     if len(basis_labels) != system.dim:
         raise ValidationError("number of basis labels must equal the system dimension")
     overlap = np.abs(system.vectors) ** 2  # overlap[b, k]
     assign = _greedy_bijection(overlap.T)  # eigenvector k -> basis index
-    labels = tuple(basis_labels[a] for a in assign.tolist())
-    index = assign if basis_labels == default else None
-    return EigenSystem(system.energies, system.vectors, labels=labels, label_index=index)
+    labels = tuple(basis_labels[assign[k]] for k in range(system.dim))
+    return replace(system, labels=labels)
 
 
 def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:
@@ -283,4 +260,7 @@ def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:
     h = np.asarray(h, dtype=complex)
     require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
-    return label_states(EigenSystem(energies=energies, vectors=vectors), basis_labels)
+    system = EigenSystem(energies=energies, vectors=vectors)
+    if basis_labels is None:
+        basis_labels = default_basis_labels(h.shape[0])
+    return label_states(system, basis_labels)

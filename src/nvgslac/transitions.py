@@ -13,10 +13,11 @@ m_I, times the electron-manifold share (m_S = +1 states are empty; the
 m_S = 0 / -1 split is ``manifold_split``), times a uniform factor over any
 carbon-13 projections.
 
-For the 9-dim space the dipole operator, the product-basis m_S / m_I and
-the (i < j) pairs are the cached arrays of ``nv_spin_model()``; carbon-13
-spaces build them per call.  A level's m_S / m_I are read through its
-``label_index``, so weights and band masks are array lookups.
+For the 9-dim space the dipole operator and the (i < j) level pairs are
+the cached read-only arrays of ``nv_spin_model()``; carbon-13 spaces build
+them per call.  The m_S / m_I of every level are read from its label
+into two integer index arrays, so weights and band masks are array
+lookups.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import EigenSystem, basis_projections, nv_spin_model, product_basis_labels
+from .spin_core import EigenSystem, default_basis_labels, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
 POPULATION_MODES = ("nominal", "composition")
 MODES = ("hi", "lo")
 
+_M_INDEX = {1: 0, 0: 1, -1: 2}  # share and populations are ordered m = +1, 0, -1
 _ENTRY_FIELDS = ("i", "j", "freq_mhz", "probability", "intensity")  # one value per transition
 
 
@@ -72,10 +74,9 @@ class TransitionTable:
     Entry k connects level ``i[k]`` (the lower one, which supplies the
     population weight) to level ``j[k]``, with ``i[k] < j[k]``, at
     ``freq_mhz[k]``, with transition probability ``probability[k]`` and
-    population-weighted ``intensity[k]``.  ``energies``, ``labels`` and
-    ``label_index`` (as in :class:`EigenSystem`) describe all levels of the
-    eigen-system the entries were computed from, so absent transitions can
-    still be located.
+    population-weighted ``intensity[k]``.  ``energies`` and ``labels``
+    describe all levels of the eigen-system the entries were computed
+    from, so absent transitions can still be located.
     """
 
     i: np.ndarray
@@ -86,7 +87,6 @@ class TransitionTable:
     energies: np.ndarray
     labels: tuple
     b_mt: float | None = None
-    label_index: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.i.size
@@ -101,17 +101,12 @@ class TransitionTable:
         )
 
 
-def _nominal_projections(labels: tuple, label_index) -> tuple:
-    """(m_S, m_I) arrays of each level's nominal label, read through its product-basis index."""
-    n_c13 = len(labels[0]) - 2
-    if label_index is None:  # labels assigned by hand: find them in the product basis
-        position = {label: k for k, label in enumerate(product_basis_labels(n_c13))}
-        try:
-            label_index = np.array([position[label] for label in labels])
-        except KeyError as exc:
-            raise ValidationError(f"{exc.args[0]!r} is not a product-basis label") from None
-    ms, mi = basis_projections(n_c13)
-    return ms[label_index], mi[label_index]
+def _projection_index(labels) -> np.ndarray:
+    """Arrays of 1 - m_S and 1 - m_I, read from the first two entries of each label."""
+    try:
+        return np.array([(_M_INDEX[label[0]], _M_INDEX[label[1]]) for label in labels]).T
+    except KeyError as exc:
+        raise ValidationError(f"label projection {exc.args[0]!r} is not +1, 0 or -1") from None
 
 
 def dipole_elements(system: EigenSystem) -> np.ndarray:
@@ -154,14 +149,18 @@ def state_weights(
         )
     if not 0.0 <= manifold_split <= 1.0:
         raise ValidationError(f"manifold_split must lie in [0, 1], got {manifold_split!r}")
-    pops = populations(beta).normalized  # ordered m_I = +1, 0, -1
-    share = np.array([0.0, manifold_split, 1.0 - manifold_split])  # m_S = +1, 0, -1
+    pops = populations(beta).normalized
+    share = np.array([0.0, manifold_split, 1.0 - manifold_split])
     n_c13 = len(system.labels[0]) - 2
+
+    def basis_weight(labels):
+        s_index, i_index = _projection_index(labels)
+        return share[s_index] * pops[i_index] * 0.5 ** n_c13
+
     if population_mode == "nominal":
-        ms, mi = _nominal_projections(system.labels, system.label_index)
-        return share[1 - ms] * pops[1 - mi] * 0.5 ** n_c13
-    ms, mi = basis_projections(n_c13)
-    return (np.abs(system.vectors) ** 2).T @ (share[1 - ms] * pops[1 - mi] * 0.5 ** n_c13)
+        return basis_weight(system.labels)
+    basis_w = basis_weight(default_basis_labels(system.dim))
+    return (np.abs(system.vectors) ** 2).T @ basis_w
 
 
 def intensity_matrix(
@@ -198,7 +197,6 @@ def intensity_matrix(
         energies=energies.copy(),
         labels=system.labels,
         b_mt=b_mt,
-        label_index=system.label_index,
     )
 
 
@@ -214,7 +212,7 @@ def select_rows(table: TransitionTable, mode: str | None) -> TransitionTable:
         return table
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    m_s, _ = _nominal_projections(table.labels, table.label_index)
+    m_s = 1 - _projection_index(table.labels)[0]
     m_from, m_to = m_s[table.i], m_s[table.j]
     keep = (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
     return replace(table, **{name: getattr(table, name)[keep] for name in _ENTRY_FIELDS})
@@ -230,6 +228,15 @@ def transition_table(
     b_mt: float | None = None,
 ) -> TransitionTable:
     """Full pipeline from an eigen-system to a (possibly band-limited) table."""
-    p = transition_probabilities(dipole_elements(system))
-    table = intensity_matrix(p, system, beta, manifold_split, floor_rel, population_mode, b_mt)
+    m = dipole_elements(system)
+    p = transition_probabilities(m)
+    table = intensity_matrix(
+        p,
+        system,
+        beta,
+        manifold_split=manifold_split,
+        floor_rel=floor_rel,
+        population_mode=population_mode,
+        b_mt=b_mt,
+    )
     return select_rows(table, mode)

@@ -18,7 +18,6 @@ from nvgslac.hamiltonian import (
     PhysicalConstants,
     build_nv_hamiltonian,
     level_sweep,
-    nv_eigensystems,
 )
 from nvgslac.spin_core import (
     EigenSystem,
@@ -26,6 +25,7 @@ from nvgslac.spin_core import (
     embed,
     label_states,
     nv_spin_model,
+    product_basis_labels,
     require_hermitian,
     spin_matrices,
 )
@@ -82,7 +82,7 @@ def test_cached_arrays_are_read_only():
         for f in dataclasses.fields(model)
         if isinstance(getattr(model, f.name), np.ndarray)
     }
-    assert set(arrays) >= {"sx", "sz2", "flip_flop", "dipole", "ms", "mi", "triu"}
+    assert set(arrays) >= {"sx", "sz2", "flip_flop", "dipole", "triu"}
     for name, array in arrays.items():
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
@@ -129,26 +129,23 @@ def test_no_cache_grows_with_carbon13():
     assert list(caches.values()) == [nv_spin_model]
     assert nv_spin_model.cache_info().currsize == 1
     model = nv_spin_model()
-    assert len(model.labels) == 9
     for name in ("sx", "sy", "sz", "ix", "iy", "iz", "sz2", "iz2", "flip_flop", "szi", "dipole"):
         assert getattr(model, name).shape == (9, 9)
-    assert model.ms.shape == model.mi.shape == (9,) and model.triu.max() < 9
+    assert model.triu.shape == (2, 36) and model.triu.max() < 9
 
 
-def test_stacked_solves_match_single_solves():
+def test_stacked_level_sweep_matches_single_solves():
     fields = np.linspace(101.0, 103.5, 80)
-    stacked = nv_eigensystems(C, fields, theta_deg=0.3)
     swept = level_sweep(C, fields, theta_deg=0.3)
-    for b, system, tracked in zip(fields, stacked, swept):
+    for b, tracked in zip(fields, swept):
         single = eigensolve(build_nv_hamiltonian(C, FieldConfig(b=b, theta_deg=0.3)))
-        for other in (system, tracked):
-            assert np.array_equal(other.energies, single.energies)
-            assert np.array_equal(other.vectors, single.vectors)
-        assert system.labels == single.labels
-        assert np.array_equal(system.label_index, single.label_index)
-        assert tracked.labels == tuple(nv_spin_model().labels[k] for k in tracked.label_index)
+        assert np.array_equal(tracked.energies, single.energies)
+        assert np.array_equal(tracked.vectors, single.vectors)
+        assert sorted(tracked.labels) == sorted(product_basis_labels(0))
+    first = eigensolve(build_nv_hamiltonian(C, FieldConfig(b=fields[0], theta_deg=0.3)))
+    assert swept[0].labels == first.labels
     with pytest.raises(ValidationError):
-        nv_eigensystems(C, [])
+        level_sweep(C, [])
 
 
 def test_stack_hermiticity_checks_every_matrix():
@@ -159,25 +156,24 @@ def test_stack_hermiticity_checks_every_matrix():
         require_hermitian(hs)
 
 
-def test_hand_made_labels_are_looked_up():
+def test_weights_and_bands_follow_the_labels():
     system = nv_system(102.4, theta_deg=0.2)
-    bare = EigenSystem(system.energies, system.vectors, labels=system.labels)
-    assert bare.label_index is None
-    for mode in ("nominal", "composition"):
-        assert np.array_equal(
-            state_weights(bare, 0.4, 0.7, population_mode=mode),
-            state_weights(system, 0.4, 0.7, population_mode=mode),
-        )
-    p = transition_probabilities(dipole_elements(system))
-    for mode in ("hi", "lo"):
-        a = select_rows(intensity_matrix(p, bare, 0.4, 0.7), mode)
-        b = select_rows(intensity_matrix(p, system, 0.4, 0.7), mode)
-        assert np.array_equal(a.i, b.i) and np.array_equal(a.intensity, b.intensity)
-    # labeled against a re-enumerated basis: no index, same labels and weights
-    shuffled = tuple(reversed(nv_spin_model().labels))
+    # labeled against a re-enumerated basis: same labels, same weights
+    shuffled = tuple(reversed(product_basis_labels(0)))
     relabeled = label_states(EigenSystem(system.energies, system.vectors[::-1]), shuffled)
-    assert relabeled.label_index is None and relabeled.labels == system.labels
-    assert np.array_equal(state_weights(relabeled, 0.4), state_weights(system, 0.4))
-    wrong = EigenSystem(system.energies, system.vectors, labels=((2, 0),) + system.labels[1:])
-    with pytest.raises(ValidationError):
-        state_weights(wrong, 0.4)
+    assert relabeled.labels == system.labels
+    assert np.array_equal(state_weights(relabeled, 0.4, 0.7), state_weights(system, 0.4, 0.7))
+    # labels replaced on a finished system: weights and bands read the new ones
+    swapped = dataclasses.replace(system, labels=system.labels[::-1])
+    assert np.array_equal(state_weights(swapped, 0.4, 0.7), state_weights(system, 0.4, 0.7)[::-1])
+    p = transition_probabilities(dipole_elements(system))
+    full = intensity_matrix(p, system, 0.4, 0.7)
+    for mode in ("hi", "lo"):
+        kept = select_rows(full, mode)
+        moved = select_rows(dataclasses.replace(full, labels=swapped.labels), mode)
+        assert {row.label_to[0] == 1 for row in kept.rows} == {mode == "hi"}
+        assert not np.array_equal(kept.i, moved.i) or not np.array_equal(kept.j, moved.j)
+    for bad in ((2, 0), (0.5, 0)):
+        wrong = EigenSystem(system.energies, system.vectors, labels=(bad,) + system.labels[1:])
+        with pytest.raises(ValidationError):
+            state_weights(wrong, 0.4)
