@@ -6,6 +6,10 @@ x-axis by the angle between the two z-axes (given as |cos|).  A placement
 draws an independent Bernoulli occupation per site; the matrix dimension
 grows as 9 * 2**N for N occupied sites.
 
+A site adds Kronecker products of cached 9x9 electron operators and
+carbon-space operators: O(d**2) work per term, no full-size matrix product,
+and the exact bits of the dense build (see ``build_full_hamiltonian``).
+
 Ensemble averages are reproducible: draw k uses a generator seeded with the
 sequence ``[master_seed, k]``, so different master seeds give independent
 streams, and the draws are averaged in iteration order.
@@ -30,7 +34,7 @@ from .hamiltonian import (
     build_nv_hamiltonian,
 )
 from .spectrum import SpectrumModel, synthesize
-from .spin_core import eigensolve, embed, spin_matrices
+from .spin_core import eigensolve, nv_spin_model, spin_matrices
 from .transitions import transition_table
 
 EXPECTED_SITE_TOTAL = 39
@@ -166,33 +170,39 @@ def sample_placement(cfg: McConfig, iteration: int, families) -> C13Placement:
     return C13Placement(occupied=occupied)
 
 
+def _at_site(op: np.ndarray, k: int, n: int) -> np.ndarray:
+    """A 2x2 operator on site k of the 2**n-dim carbon space."""
+    return np.kron(np.kron(np.eye(2 ** k), op), np.eye(2 ** (n - k - 1)))
+
+
 def build_full_hamiltonian(
     base: np.ndarray,
     placement: C13Placement,
     families,
     field_cfg: FieldConfig,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    max_n_c13: int = MAX_N_C13_DEFAULT,
 ) -> np.ndarray:
     """Extend a 9x9 NV+14N matrix with the occupied carbon-13 sites.
 
-    Adds, per site, the electron coupling through the rotated tensor and
-    the carbon Zeeman term; the result has dimension 9 * 2**N.
+    Per site k, adds sum_a S_a (x) (sum_b A_ab J_b) with the rotated tensor
+    A and S_a from ``nv_spin_model()``, then 1_9 (x) (gamma_c13 B n.J); J_b
+    acts on site k of the carbon space only.  The dimension is 9 * 2**N.
+    The bits equal a dense build adding A_ab (S_a @ J_b) term by term: J_b
+    entries are +-1/2 or +-i/2, so each real or imaginary part of an entry
+    is one product rounded once, from one b alone, added in the same order.
     """
     n = placement.n_c13
-    if n > max_n_c13:
+    if n > MAX_N_C13_DEFAULT:
         raise ResourceLimitError(
-            f"placement with {n} carbon-13 sites exceeds the cap of {max_n_c13}"
+            f"placement with {n} carbon-13 sites exceeds the cap of {MAX_N_C13_DEFAULT}"
         )
     by_label = {f.label: f for f in families}
-    dims = (3, 3) + (2,) * n
-    h = np.kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
-    if n == 0:
-        return h
-    e = spin_matrices(1.0)
+    model = nv_spin_model()
     half = spin_matrices(0.5)
-    s_ops = [embed(op, 0, dims) for op in (e.sx, e.sy, e.sz)]
+    j_ops = (half.sx, half.sy, half.sz)
+    h = np.kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
     direction = field_cfg.direction()
+    zeeman = constants.gamma_c13 * field_cfg.b * sum(d * j for d, j in zip(direction, j_ops))
     for k, (label, site) in enumerate(placement.occupied):
         try:
             fam = by_label[label]
@@ -204,13 +214,9 @@ def build_full_hamiltonian(
                 f"(multiplicity {fam.multiplicity})"
             )
         coupling = rotate_tensor(fam.tensor, fam.cos_zz)
-        j_ops = [embed(op, 2 + k, dims) for op in (half.sx, half.sy, half.sz)]
-        for a in range(3):
-            for b_ax in range(3):
-                if coupling[a, b_ax] != 0.0:
-                    h += coupling[a, b_ax] * (s_ops[a] @ j_ops[b_ax])
-        zeeman = constants.gamma_c13 * field_cfg.b
-        h += zeeman * (direction[0] * j_ops[0] + direction[1] * j_ops[1] + direction[2] * j_ops[2])
+        for s_a, row in zip((model.sx, model.sy, model.sz), coupling):
+            h += np.kron(s_a, _at_site(sum(c * j for c, j in zip(row, j_ops)), k, n))
+        h += np.kron(np.eye(9), _at_site(zeeman, k, n))
     return h
 
 

@@ -141,14 +141,9 @@ class PolarizationReport:
     flags: tuple = ()
 
 
-def reduced_chi2(data: MeasuredSpectrum, model, sigma=None) -> float:
-    """Mean squared residual between a measured sweep and a model curve."""
-    model_values = model.values if hasattr(model, "values") else np.asarray(model, dtype=float)
-    model_grid = getattr(model, "grid", None)
-    if model_grid is not None and (
-        model_grid.shape != data.grid.shape or not np.allclose(model_grid, data.grid, atol=1e-9)
-    ):
-        raise ValidationError("data and model are sampled on different grids")
+def reduced_chi2(data: MeasuredSpectrum, model_values, sigma=None) -> float:
+    """Mean squared residual between a measured sweep and model values on its grid."""
+    model_values = np.asarray(model_values, dtype=float)
     if model_values.shape != data.values.shape:
         raise ValidationError("data and model are sampled on different grids")
     residual = data.values - model_values
@@ -419,11 +414,10 @@ def alignment(populations) -> float:
 def polarization_sweep(
     fits,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    window_mt: float = GSLAC_CONFIDENCE_WINDOW_MT,
 ) -> list:
     """Per-fit nuclear polarization from fitted areas over transition strengths.
 
-    Points inside ``window_mt`` of the anticrossing are flagged low
+    Points inside ``GSLAC_CONFIDENCE_WINDOW_MT`` of the anticrossing are flagged low
     confidence; missing components are flagged, not fatal.
     """
     b_center = gslac_field(constants)
@@ -440,7 +434,7 @@ def polarization_sweep(
             else:
                 pops.append(0.0)
                 flags.append(f"missing_component:{key}")
-        low_confidence = abs(fit.params.b - b_center) <= window_mt
+        low_confidence = abs(fit.params.b - b_center) <= GSLAC_CONFIDENCE_WINDOW_MT
         total = sum(pops)
         if total > 0:
             normalized = tuple(p / total for p in pops)

@@ -173,7 +173,6 @@ def basis_index(ms: int, mi: int) -> int:
 
 
 NV_N14_LABELS = product_basis_labels(0)
-TRUNCATED_LABELS = ((0, 1), (0, 0), (0, -1), (-1, 1), (-1, 0), (-1, -1))
 
 
 def build_nv_hamiltonian(
@@ -206,7 +205,7 @@ def truncated_hamiltonian(constants: PhysicalConstants, b: float) -> np.ndarray:
 
     This is the numerical twin of the closed forms: it keeps exactly the
     terms they contain, so the two agree to machine precision. Basis
-    order is ``TRUNCATED_LABELS``.
+    order is |m_S, m_I> = |0,+1>, |0,0>, |0,-1>, |-1,+1>, |-1,0>, |-1,-1>.
     """
     no_nz = replace(constants, gamma_n14=0.0)
     h9 = build_nv_hamiltonian(no_nz, FieldConfig(b=b))

@@ -81,15 +81,15 @@ def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
     return out
 
 
-def is_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    """True when h, or every matrix of a stack (n, d, d), is Hermitian within rtol of its norm."""
+def is_hermitian(h: np.ndarray) -> bool:
+    """True when h, or every matrix of a stack (n, d, d), is Hermitian to HERMITICITY_RTOL."""
     h = np.asarray(h)
-    scale = np.linalg.norm(h, axis=(-2, -1))
-    return bool(np.all(np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)) <= rtol * scale))
+    anti = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return bool(np.all(anti <= HERMITICITY_RTOL * np.linalg.norm(h, axis=(-2, -1))))
 
 
-def require_hermitian(h: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    if not is_hermitian(h, rtol):
+def require_hermitian(h: np.ndarray) -> None:
+    if not is_hermitian(h):
         raise ValidationError("matrix is not Hermitian within tolerance")
 
 
@@ -122,8 +122,9 @@ class SpinModel:
     The embedded electron (``sx, sy, sz``) and nitrogen (``ix, iy, iz``)
     spins, the products ``sz2 = sz @ sz``, ``iz2 = iz @ iz``,
     ``flip_flop = sx @ ix + sy @ iy`` and ``szi = sz @ iz``, the electron
-    (S+ + S-) ``dipole`` and the ``triu`` (i < j) level pairs.  Carbon-13
-    spaces are not cached: their operators grow as 2**N.
+    (S+ + S-) ``dipole`` and the ``triu`` (i < j) level pairs.  The electron
+    operators also feed the carbon-13 build; carbon-13 spaces are not
+    cached: their operators grow as 2**N.
     """
 
     sx: np.ndarray

@@ -222,7 +222,6 @@ def transition_table(
     system: EigenSystem,
     beta: float,
     manifold_split: float = 1.0,
-    floor_rel: float = FLOOR_REL_DEFAULT,
     population_mode: str = "nominal",
     mode: str | None = None,
     b_mt: float | None = None,
@@ -235,7 +234,6 @@ def transition_table(
         system,
         beta,
         manifold_split=manifold_split,
-        floor_rel=floor_rel,
         population_mode=population_mode,
         b_mt=b_mt,
     )

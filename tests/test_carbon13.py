@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import nv_table
 
-from nvgslac import carbon13
+from nvgslac import carbon13, spin_core
 from nvgslac.carbon13 import (
     C13Placement,
     EXPECTED_SITE_TOTAL,
@@ -18,7 +21,7 @@ from nvgslac.carbon13 import (
 from nvgslac.errors import ParseError, ResourceLimitError, ValidationError
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, HyperfineTensor, build_nv_hamiltonian
 from nvgslac.spectrum import synthesize
-from nvgslac.spin_core import eigensolve, product_basis_labels
+from nvgslac.spin_core import eigensolve, embed, nv_spin_model, product_basis_labels, spin_matrices
 from nvgslac.transitions import transition_table
 
 FIELD = FieldConfig(b=102.4)
@@ -142,14 +145,100 @@ def test_empty_placement_returns_base():
 
 
 def test_dimension_cap_enforced():
+    # 9 sites would be a 4,608-dim matrix (340 MB); the cap fires before any of it
     families = load_families()
     base = build_nv_hamiltonian(DEFAULT_CONSTANTS, FIELD)
+    placement = C13Placement(occupied=site_list(families)[: MAX_N_C13_DEFAULT + 1])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="9 carbon-13 sites"):
+            build_full_hamiltonian(base, placement, families, FIELD, DEFAULT_CONSTANTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def dense_full_hamiltonian(base, placement, families, field_cfg, constants):
+    """The dense build: every operator embedded in the full space, S_a @ J_b per term."""
+    n = placement.n_c13
+    by_label = {f.label: f for f in families}
+    dims = (3, 3) + (2,) * n
+    h = np.kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
+    if n == 0:
+        return h
+    e = spin_matrices(1.0)
+    half = spin_matrices(0.5)
+    s_ops = [embed(op, 0, dims) for op in (e.sx, e.sy, e.sz)]
+    direction = field_cfg.direction()
+    for k, (label, _site) in enumerate(placement.occupied):
+        fam = by_label[label]
+        coupling = rotate_tensor(fam.tensor, fam.cos_zz)
+        j_ops = [embed(op, 2 + k, dims) for op in (half.sx, half.sy, half.sz)]
+        for a in range(3):
+            for b_ax in range(3):
+                if coupling[a, b_ax] != 0.0:
+                    h += coupling[a, b_ax] * (s_ops[a] @ j_ops[b_ax])
+        zeeman = constants.gamma_c13 * field_cfg.b
+        h += zeeman * (direction[0] * j_ops[0] + direction[1] * j_ops[1] + direction[2] * j_ops[2])
+    return h
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [DEFAULT_CONSTANTS, dataclasses.replace(DEFAULT_CONSTANTS, gamma_c13=0.0317)],
+    ids=["default", "gamma_c13"],
+)
+def test_kronecker_build_equals_dense_oracle(constants, rng):
+    families = load_families()
     sites = site_list(families)
-    placement = C13Placement(occupied=sites[:3])
-    with pytest.raises(ResourceLimitError):
-        build_full_hamiltonian(
-            base, placement, families, FIELD, DEFAULT_CONSTANTS, max_n_c13=2
+    for trial in range(50):
+        n = int(rng.integers(0, 6))
+        field_cfg = FieldConfig(
+            b=rng.uniform(95.0, 110.0),
+            theta_deg=(0.0, 0.3, 2.0)[trial % 3],
+            phi_deg=rng.uniform(0.0, 360.0),
         )
+        placement = C13Placement(
+            occupied=tuple(sites[i] for i in rng.choice(len(sites), n, replace=False))
+        )
+        base = build_nv_hamiltonian(constants, field_cfg)
+        expected = dense_full_hamiltonian(base, placement, families, field_cfg, constants)
+        h = build_full_hamiltonian(base, placement, families, field_cfg, constants)
+        assert np.array_equal(h, expected), (trial, placement)
+
+
+def test_carbon13_paths_call_no_embed(monkeypatch):
+    nv_spin_model()
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embed called on a carbon-13 path")
+
+    monkeypatch.setattr(spin_core, "embed", no_embed)
+    monkeypatch.setattr(carbon13, "embed", no_embed, raising=False)
+    families = load_families()
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, FIELD)
+    placement = C13Placement(occupied=site_list(families)[:3])
+    h = build_full_hamiltonian(base, placement, families, FIELD, DEFAULT_CONSTANTS)
+    assert h.shape == (72, 72)
+    cfg = McConfig(iterations=40, occupancy=0.011, seed=9)
+    assert any(sample_placement(cfg, k, families).n_c13 for k in range(cfg.iterations))
+    spec = mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo", families=families)
+    assert np.all(np.isfinite(spec.values))
+
+
+def test_six_site_build_memory():
+    families = load_families()
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, FIELD)
+    placement = C13Placement(occupied=site_list(families)[:6])
+    build_full_hamiltonian(base, placement, families, FIELD, DEFAULT_CONSTANTS)  # warm caches
+    tracemalloc.start()
+    try:
+        h = build_full_hamiltonian(base, placement, families, FIELD, DEFAULT_CONSTANTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * h.nbytes
 
 
 def test_unknown_family_rejected():

@@ -206,6 +206,8 @@ def test_select_rows_modes():
 
 
 def test_floor_filters_weak_rows():
-    loose = nv_table(95.0, floor_rel=1e-12)
-    tight = nv_table(95.0, floor_rel=1e-2)
+    system = nv_system(95.0)
+    p = transition_probabilities(dipole_elements(system))
+    loose = intensity_matrix(p, system, beta=0.0, floor_rel=1e-12)
+    tight = intensity_matrix(p, system, beta=0.0, floor_rel=1e-2)
     assert len(tight.rows) < len(loose.rows)
