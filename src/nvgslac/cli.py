@@ -125,11 +125,11 @@ def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Pat
         path = out_dir / f"{stem}.json"
         doc = {
             "meta": meta,
-            "grid_mhz": [float(x) for x in spec.grid],
-            "values": [float(x) for x in spec.values],
+            "grid_mhz": spec.grid.tolist(),
+            "values": spec.values.tolist(),
         }
         if spec.stderr is not None:
-            doc["stderr"] = [float(x) for x in spec.stderr]
+            doc["stderr"] = spec.stderr.tolist()
         _write_json(path, doc)
     else:
         path = out_dir / f"{stem}.csv"

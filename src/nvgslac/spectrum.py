@@ -22,10 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimitError, ValidationError
 from .transitions import TransitionTable
 
 NUMBER_FORMAT = "%.9g"
+# Grid points evaluated per block of table entries in synthesize.
+SYNTH_BLOCK_POINTS = 1 << 15
+# Largest frequency grid frequency_grid builds (80 MB of float64).
+MAX_GRID_POINTS = 10**7
 
 
 def lorentzian(freq, center: float, hwhm: float):
@@ -72,18 +76,40 @@ class MeasuredSpectrum:
 
 
 def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
-    """One Lorentzian per table entry, common width, amplitude = intensity."""
-    if not width > 0:
-        raise ValidationError(f"linewidth must be positive, got {width!r}")
+    """One Lorentzian per table entry, common width, amplitude = intensity.
+
+    Entries are evaluated a block of rows at a time in one reused buffer,
+    with the operations of :func:`lorentzian` in the same order, and the
+    sum is accumulated in table order, so the values are bit-identical to
+    adding ``amplitude * lorentzian(grid, center, width)`` entry by entry.
+    """
+    if not (width > 0 and math.isfinite(width)):
+        raise ValidationError(f"linewidth must be positive and finite, got {width!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid must be nonempty")
     hwhm = float(width)
+    centers = table.freq_mhz[:, None]
+    amplitudes = table.intensity[:, None]
     peaks = np.column_stack((table.freq_mhz, np.full(len(table), hwhm), table.intensity))
-    # Accumulated in table order, one grid-sized temporary at a time.
     values = np.zeros_like(grid)
-    for center, amplitude in zip(table.freq_mhz.tolist(), table.intensity.tolist()):
-        values += amplitude * lorentzian(grid, center, hwhm)
+    if grid.size > 1:
+        rows = max(1, min(len(table), SYNTH_BLOCK_POINTS // grid.size))
+    else:
+        rows = 1  # on one point numpy's reduce would add the rows pairwise
+    buffer = np.empty((rows, grid.size))
+    for start in range(0, len(table), rows):
+        center = centers[start : start + rows]
+        block = buffer[: len(center)]
+        np.subtract(grid, center, out=block)
+        np.square(block, out=block)
+        block += hwhm**2
+        np.multiply(np.pi, block, out=block)
+        np.divide(hwhm, block, out=block)
+        block *= amplitudes[start : start + rows]
+        block[0] += values
+        # A reduce along axis 0 adds the rows one after another.
+        values = np.add.reduce(block, axis=0)
     return SpectrumModel(peaks=peaks, grid=grid, values=values)
 
 
@@ -147,12 +173,13 @@ def spectrum_to_csv(spec, extra_meta: dict | None = None) -> str:
     stderr = getattr(spec, "stderr", None)
     if stderr is None:
         buf.write("freq_mhz,value\n")
-        for f, v in zip(spec.grid, spec.values):
-            buf.write(f"{_format_number(f)},{_format_number(v)}\n")
+        cols = (spec.grid, spec.values)
     else:
         buf.write("freq_mhz,value,stderr\n")
-        for f, v, s in zip(spec.grid, spec.values, stderr):
-            buf.write(f"{_format_number(f)},{_format_number(v)},{_format_number(s)}\n")
+        cols = (spec.grid, spec.values, stderr)
+    # All rows in one formatting pass over Python floats.
+    row_fmt = ",".join([NUMBER_FORMAT] * len(cols)) + "\n"
+    buf.write((row_fmt * len(spec.grid)) % tuple(np.column_stack(cols).ravel().tolist()))
     return buf.getvalue()
 
 
@@ -239,5 +266,12 @@ def frequency_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValidationError(f"grid step must be positive, got {step!r}")
     if stop <= start:
         raise ValidationError(f"grid stop must exceed start, got [{start!r}, {stop!r}]")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # n = floor(span) + 1 points; span may be inf
+        points = math.floor(span) + 1 if math.isfinite(span) else span
+        raise ResourceLimitError(
+            f"grid [{start!r}, {stop!r}] in steps of {step!r} has {points} points,"
+            f" above the cap of {MAX_GRID_POINTS} points"
+        )
+    n = int(math.floor(span)) + 1
     return start + step * np.arange(n)

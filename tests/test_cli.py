@@ -109,6 +109,25 @@ def test_simulate_zero_grid_step_is_validation_error(tmp_path):
     assert code == 2
 
 
+def test_simulate_infinite_width_is_validation_error(tmp_path, capsys):
+    code = run(
+        [
+            "simulate", "--b-mt", "101.5", "--width-mhz", "inf",
+            "--grid", "5680:5800:1", "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "linewidth must be positive and finite, got inf" in capsys.readouterr().err
+
+
+def test_simulate_oversized_grid_is_resource_limit(tmp_path, capsys):
+    code = run(
+        ["simulate", "--b-mt", "101.5", "--grid", "0:1e9:1e-9", "--out", str(tmp_path / "x")]
+    )
+    assert code == 5
+    assert "points" in capsys.readouterr().err
+
+
 def test_simulate_grid_band_mismatch_names_ranges(tmp_path, capsys):
     code = run(
         ["simulate", "--b-mt", "95", "--mode", "hi", "--grid", "0:40:0.1", "--out", str(tmp_path / "x")]
@@ -175,6 +194,17 @@ def test_mc13_negative_seed_is_validation_error(tmp_path, capsys):
     )
     assert code == 2
     assert "-1" in capsys.readouterr().err
+
+
+def test_mc13_infinite_width_is_validation_error(tmp_path, capsys):
+    code = run(
+        [
+            "mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5",
+            "--width-mhz", "inf", "--iterations", "2", "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "linewidth must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_mc13_grid_band_mismatch_is_validation_error(tmp_path, capsys):

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import nv_table
 
-from nvgslac.errors import ParseError, ValidationError
-from nvgslac.hamiltonian import DEFAULT_CONSTANTS, gslac_field
+from nvgslac import spectrum
+from nvgslac.carbon13 import C13Placement, build_full_hamiltonian, load_families, site_list
+from nvgslac.errors import ParseError, ResourceLimitError, ValidationError
+from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian, gslac_field
 from nvgslac.spectrum import (
+    NUMBER_FORMAT,
+    SYNTH_BLOCK_POINTS,
     MeasuredSpectrum,
     SpectrumModel,
     frequency_grid,
@@ -17,7 +23,8 @@ from nvgslac.spectrum import (
     transitions_to_csv,
     write_spectrum_csv,
 )
-from nvgslac.transitions import TransitionTable
+from nvgslac.spin_core import eigensolve, product_basis_labels
+from nvgslac.transitions import TransitionTable, transition_table
 
 
 def test_lorentzian_peak_height_and_area():
@@ -30,28 +37,89 @@ def test_lorentzian_peak_height_and_area():
     assert np.isclose(lorentzian(hwhm, 0.0, hwhm), curve.max() / 2.0, rtol=1e-9)
 
 
-def test_synthesize_empty_table_gives_zeros():
-    none = np.array([])
-    table = TransitionTable(
-        i=none.astype(int),
-        j=none.astype(int),
-        freq_mhz=none,
-        probability=none,
-        intensity=none,
+def peak_table(freq, intensity):
+    """A transition table holding only the given lines."""
+    freq = np.asarray(freq, dtype=float)
+    return TransitionTable(
+        i=np.zeros(freq.size, dtype=int),
+        j=np.ones(freq.size, dtype=int),
+        freq_mhz=freq,
+        probability=np.ones(freq.size),
+        intensity=np.asarray(intensity, dtype=float),
         energies=np.zeros(9),
         labels=tuple(range(9)),
     )
+
+
+def per_entry_synthesis(table, width, grid):
+    """Oracle: one ``lorentzian`` per entry, added to the sum in table order."""
+    values = np.zeros_like(grid)
+    for center, amplitude in zip(table.freq_mhz.tolist(), table.intensity.tolist()):
+        values += amplitude * lorentzian(grid, center, width)
+    return values
+
+
+def test_synthesize_empty_table_gives_zeros():
     grid = np.linspace(0.0, 10.0, 11)
-    spec = synthesize(table, 1.0, grid)
+    spec = synthesize(peak_table([], []), 1.0, grid)
     assert np.all(spec.values == 0.0)
 
 
 def test_synthesize_rejects_bad_width_and_grid():
     table = nv_table(95.0, mode="hi")
-    with pytest.raises(ValidationError):
-        synthesize(table, 0.0, np.linspace(0, 1, 5))
+    for width in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match=repr(width)):
+            synthesize(table, width, np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
         synthesize(table, 1.0, np.array([]))
+
+
+def random_peak_table(n, grid):
+    rng = np.random.default_rng(n)
+    # centers on and off the grid; intensities over ten decades, some zero
+    freq = rng.uniform(grid[0] - 50.0, grid[-1] + 50.0, n)
+    intensity = 10.0 ** rng.uniform(-10.0, 0.0, n) * (rng.random(n) > 0.1)
+    return peak_table(freq, intensity)
+
+
+@pytest.mark.parametrize("grid_name", ["hi", "lo"])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_synthesize_equals_per_entry_oracle(grid_name, blocks, extra):
+    grid = {"hi": np.arange(5680.0, 5800.0, 0.1), "lo": np.arange(0.0, 40.0, 0.1)}[grid_name]
+    n = blocks * (SYNTH_BLOCK_POINTS // grid.size) + extra
+    table = random_peak_table(n, grid)
+    spec = synthesize(table, 0.7, grid)
+    assert np.array_equal(spec.values, per_entry_synthesis(table, 0.7, grid))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 9, 1000])
+def test_synthesize_one_point_grid_equals_oracle(n):
+    # on a single point a reduce over 8 or more rows would add them pairwise
+    grid = np.array([5740.0])
+    table = random_peak_table(n, grid)
+    spec = synthesize(table, 0.7, grid)
+    assert np.array_equal(spec.values, per_entry_synthesis(table, 0.7, grid))
+
+
+def test_synthesize_five_site_table_equals_oracle_in_little_memory():
+    field = FieldConfig(b=102.4, theta_deg=0.3)
+    families = load_families()
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field)
+    placement = C13Placement(occupied=site_list(families)[::8][:5])  # 8,525 entries
+    h = build_full_hamiltonian(base, placement, families, field, DEFAULT_CONSTANTS)
+    table = transition_table(eigensolve(h, product_basis_labels(5)), beta=0.0, mode="hi", b_mt=102.4)
+    grid = np.arange(5680.0, 5800.0, 0.1)
+    # all its Lorentzians at once, one (entries x grid) array, would take 82 MB
+    assert len(table) * grid.nbytes > 48e6
+    spec = synthesize(table, 1.0, grid)
+    assert np.array_equal(spec.values, per_entry_synthesis(table, 1.0, grid))
+    tracemalloc.start()
+    try:
+        synthesize(table, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_far_field_three_peak_spacing():
@@ -200,6 +268,38 @@ def test_spectrum_csv_deterministic():
     assert spectrum_to_csv(spec) == spectrum_to_csv(spec)
 
 
+def per_row_csv(spec, extra_meta=None):
+    """Oracle: every number formatted on its own, one row at a time."""
+    meta = {**(spec.meta or {}), **(extra_meta or {})}
+    lines = [
+        f"# {key}={NUMBER_FORMAT % meta[key] if isinstance(meta[key], (int, float)) else meta[key]}"
+        for key in sorted(meta)
+    ]
+    cols = [spec.grid, spec.values]
+    if getattr(spec, "stderr", None) is not None:
+        cols.append(spec.stderr)
+    lines.append(",".join(["freq_mhz", "value", "stderr"][: len(cols)]))
+    lines += [",".join(NUMBER_FORMAT % float(x) for x in row) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
+
+
+def test_spectrum_csv_equals_per_row_oracle():
+    values = np.array([-0.0, 1e-300, 1e300, 3.0, -2.5e-7, 1 / 3, 123456789012.0, 0.0])
+    measured = MeasuredSpectrum(
+        grid=np.arange(8) + 5700.0, values=values, meta={"b_mt": 101.5, "note": "x=1"}
+    )
+    extra = {"current_a": 35, "contrast_pct": 2.25e-5}
+    assert spectrum_to_csv(measured, extra) == per_row_csv(measured, extra)
+    # an integer grid, and non-finite entries in the stderr column
+    model = SpectrumModel(
+        peaks=np.empty((0, 3)),
+        grid=np.arange(8),
+        values=values[::-1],
+        stderr=np.array([0.0, np.inf, np.nan, -0.0, 5e-324, 1e-5, 7.0, 2.0**60]),
+    )
+    assert spectrum_to_csv(model, {"b_mt": 102.4}) == per_row_csv(model, {"b_mt": 102.4})
+
+
 def test_spectrum_csv_invert_flag(tmp_path):
     grid = np.linspace(0.0, 1.0, 5)
     spec = MeasuredSpectrum(grid=grid, values=-np.ones(5))
@@ -243,6 +343,25 @@ def test_frequency_grid_validation():
         frequency_grid(0.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         frequency_grid(1.0, 0.0, 0.1)
+
+
+def test_frequency_grid_cap_checked_before_allocation(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="1000000000000000001 points") as info:
+            frequency_grid(0.0, 1e9, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(spectrum.MAX_GRID_POINTS) in str(info.value)
+    assert peak < 100_000
+    with pytest.raises(ResourceLimitError, match="inf points"):
+        frequency_grid(0.0, 1.0, 1e-320)
+    # the cap is on the point count, inclusive
+    monkeypatch.setattr(spectrum, "MAX_GRID_POINTS", 11)
+    assert frequency_grid(0.0, 10.0, 1.0).size == 11
+    with pytest.raises(ResourceLimitError, match="12 points"):
+        frequency_grid(0.0, 11.0, 1.0)
 
 
 def test_measured_spectrum_validation():
