@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .carbon13 import McConfig, load_families, mc_average_spectrum
-from .errors import NvGslacError, ParseError, ValidationError
+from .errors import NvGslacError, ParseError, ResourceLimitError, ValidationError
 from .fitting import (
     FitParams,
     FitResult,
@@ -45,6 +46,9 @@ from .spectrum import (
 from .spin_core import eigensolve
 from .transitions import transition_table
 
+# Most fields one simulate sweep may cover; each writes one spectrum file.
+MAX_SWEEP_FIELDS = 100_000
+
 
 def _parse_grid(text: str):
     parts = text.split(":")
@@ -68,12 +72,20 @@ def _field_values(args) -> list:
         return [args.b_mt]
     if args.b_start is None or args.b_stop is None or args.b_step is None:
         raise ValidationError("provide either --b-mt or all of --b-start/--b-stop/--b-step")
+    for name in ("b_start", "b_stop", "b_step"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
     if args.b_step <= 0:
         raise ValidationError(f"--b-step must be positive, got {args.b_step!r}")
     if args.b_stop < args.b_start:
         raise ValidationError("--b-stop must not be below --b-start")
-    n = int(np.floor((args.b_stop - args.b_start) / args.b_step + 1e-9)) + 1
-    return [args.b_start + k * args.b_step for k in range(n)]
+    steps = np.floor((args.b_stop - args.b_start) / args.b_step + 1e-9)  # may overflow to inf
+    if steps >= MAX_SWEEP_FIELDS:
+        raise ResourceLimitError(
+            f"field sweep of {steps + 1:.6g} fields exceeds the cap of {MAX_SWEEP_FIELDS} fields"
+        )
+    return [args.b_start + k * args.b_step for k in range(int(steps) + 1)]
 
 
 def _provenance(args, constants, command: str) -> dict:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 
 import numpy as np
@@ -47,7 +47,7 @@ from .hamiltonian import (
 )
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
 from .spin_core import eigensolve, format_label
-from .transitions import TransitionTable, transition_table
+from .transitions import FieldStage, TransitionTable, field_stage, population_stage
 
 B_FREE_THRESHOLD_MT = 0.5
 # Largest step of the start-field scan; below the 14N spacing |a_par| / gamma_e
@@ -57,6 +57,9 @@ GSLAC_CONFIDENCE_WINDOW_MT = 0.15
 # Start search: a beta x width scoring grid, and Nelder-Mead from the best starts.
 START_GRID = (5, 5)
 N_RESTARTS = 2
+# Field stages one fit keeps, oldest dropped first.  A 9x9 stage holds about
+# 4.7 kB, so whatever the evaluation budget a fit keeps under 5 MB of them.
+FIELD_CACHE_SIZE = 1024
 
 ORIENTATION_SCALE = math.sqrt(1.5)
 ALIGNMENT_SCALE = math.sqrt(0.5)
@@ -155,12 +158,13 @@ def reduced_chi2(data: MeasuredSpectrum, model_values, sigma=None) -> float:
     return float(np.mean(residual ** 2))
 
 
-def _model_table(params: FitParams, mode: str, constants: PhysicalConstants) -> TransitionTable:
+def _solve_field(params: FitParams, mode: str, constants: PhysicalConstants) -> FieldStage:
     field_cfg = FieldConfig(b=params.b, theta_deg=params.theta_deg)
-    system = eigensolve(build_nv_hamiltonian(constants, field_cfg))
-    return transition_table(
-        system, params.beta, manifold_split=params.manifold_split, mode=mode, b_mt=params.b
-    )
+    return field_stage(eigensolve(build_nv_hamiltonian(constants, field_cfg)), mode)
+
+
+def _weigh(stage: FieldStage, params: FitParams) -> TransitionTable:
+    return population_stage(stage, params.beta, manifold_split=params.manifold_split, b_mt=params.b)
 
 
 def model_spectrum(
@@ -170,7 +174,27 @@ def model_spectrum(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> SpectrumModel:
     """Synthesize the band-limited model spectrum for one parameter set."""
-    return synthesize(_model_table(params, mode, constants), params.width, grid)
+    table = _weigh(_solve_field(params, mode, constants), params)
+    return synthesize(table, params.width, grid)
+
+
+class _FieldStages:
+    """The field stages of one fit by (B, theta); beyond FIELD_CACHE_SIZE the oldest is dropped."""
+
+    def __init__(self, mode: str, constants: PhysicalConstants):
+        self.mode = mode
+        self.constants = constants
+        self.stages = {}
+
+    def __call__(self, params: FitParams) -> FieldStage:
+        key = (params.b, params.theta_deg)
+        stage = self.stages.get(key)
+        if stage is None:
+            stage = _solve_field(params, self.mode, self.constants)
+            if len(self.stages) >= FIELD_CACHE_SIZE:
+                del self.stages[next(iter(self.stages))]
+            self.stages[key] = stage
+        return stage
 
 
 DEFAULT_BOUNDS = {
@@ -213,9 +237,27 @@ def fit_spectrum(
     are cut short when the budget runs out, and ``ConvergenceError`` is
     raised if no search converged.  The curvature probes at the optimum,
     two per free parameter, are not counted.
+
+    Only beta, the width and the manifold split change between most
+    evaluations, so the call keeps the field stage (H build, eigensolve,
+    dipole fold and pair indexing; see ``transitions``) of each clipped
+    (B, theta) it meets and redoes only the population stage and the
+    synthesis when a field comes back.  At most ``FIELD_CACHE_SIZE``
+    (1,024) field stages are kept, the oldest dropped first, and none
+    outlives the call.  The reported table and model are those of the
+    best evaluation; the curvature probes use the same field stages.
+
+    Every start value must be finite, and the start field and angle must
+    make a valid ``FieldConfig``; otherwise ``ValidationError`` is raised
+    before any evaluation.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
+    for name in (f.name for f in fields(initial)):
+        value = getattr(initial, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"fit start {name} must be finite, got {value!r}")
+    FieldConfig(b=initial.b, theta_deg=initial.theta_deg)  # names a bad start field or angle
     bounds = dict(DEFAULT_BOUNDS)
     b_center = gslac_field(constants)
     b_free = abs(initial.b - b_center) > B_FREE_THRESHOLD_MT
@@ -229,7 +271,8 @@ def fit_spectrum(
         names.append("manifold_split")
 
     eval_count = 0
-    best = {"chi2": math.inf, "x": None, "scale": 0.0}
+    best = {"chi2": math.inf, "x": None}
+    field_stages = _FieldStages(mode, constants)
 
     def unpack(x) -> FitParams:
         values = dict(zip(names, x))
@@ -242,7 +285,8 @@ def fit_spectrum(
         )
 
     def penalized_chi2(x) -> tuple:
-        """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale)."""
+        """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale,
+        table, model)."""
         penalty = 0.0
         clipped = []
         for name, value in zip(names, x):
@@ -250,21 +294,23 @@ def fit_spectrum(
             c = min(max(value, lo), hi)
             penalty += (value - c) ** 2
             clipped.append(c)
+        params = unpack(clipped)
         try:
-            model = model_spectrum(unpack(clipped), data.grid, mode=mode, constants=constants)
+            table = _weigh(field_stages(params), params)
+            model = synthesize(table, params.width, data.grid)
         except ValidationError:
-            return 1e30, None, 0.0
+            return 1e30, None, 0.0, None, None
         scale = _optimal_scale(data.values, model.values)
         chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
-        return chi2 + 1e6 * penalty, clipped, scale
+        return chi2 + 1e6 * penalty, clipped, scale, table, model
 
     def objective(x) -> float:
-        """Counted evaluation; keeps the best point seen."""
+        """Counted evaluation; keeps the best point seen, with its table and model."""
         nonlocal eval_count
         eval_count += 1
-        total, clipped, scale = penalized_chi2(x)
+        total, clipped, scale, table, model = penalized_chi2(x)
         if clipped is not None and total < best["chi2"]:
-            best.update(chi2=total, x=clipped, scale=scale)
+            best.update(chi2=total, x=clipped, scale=scale, table=table, model=model)
         return total
 
     # Coarse scoring grid over (beta, width), other parameters at their
@@ -331,10 +377,8 @@ def fit_spectrum(
         )
 
     params = unpack(best["x"])
-    table = _model_table(params, mode, constants)
-    model = synthesize(table, params.width, data.grid)
-    scale = _optimal_scale(data.values, model.values)
-    chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
+    table, scale = best["table"], best["scale"]
+    chi2 = reduced_chi2(data, scale * best["model"].values, sigma=sigma)
 
     areas: dict = {}
     strengths: dict = {}

@@ -13,11 +13,17 @@ m_I, times the electron-manifold share (m_S = +1 states are empty; the
 m_S = 0 / -1 split is ``manifold_split``), times a uniform factor over any
 carbon-13 projections.
 
+A table is built in two stages.  The field stage, :func:`field_stage`,
+runs once per eigen-system and band: it folds the dipole operator into
+the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
+the transition probabilities and the band mask, and the m_S / m_I index
+of every level, read from its label.  The population stage,
+:func:`population_stage`, runs once per (beta, manifold split): it
+weights the pairs, applies the intensity floor over all pairs and then
+the band mask.  A fit at a fixed field repeats only the second stage.
 For the 9-dim space the dipole operator and the (i < j) level pairs are
 the cached read-only arrays of ``nv_spin_model()``; carbon-13 spaces build
-them per call.  The m_S / m_I of every level are read from its label
-into two integer index arrays, so weights and band masks are array
-lookups.
+them per call.
 """
 
 from __future__ import annotations
@@ -130,6 +136,15 @@ def transition_probabilities(m: np.ndarray) -> np.ndarray:
     return (m * m.T).real
 
 
+def _weights(s_index, i_index, n_c13: int, beta: float, manifold_split: float) -> np.ndarray:
+    """The weighting rule: m_S share times nitrogen population times the carbon-13 factor."""
+    if not 0.0 <= manifold_split <= 1.0:
+        raise ValidationError(f"manifold_split must lie in [0, 1], got {manifold_split!r}")
+    pops = populations(beta).normalized
+    share = np.array([0.0, manifold_split, 1.0 - manifold_split])
+    return share[s_index] * pops[i_index] * 0.5 ** n_c13
+
+
 def state_weights(
     system: EigenSystem,
     beta: float,
@@ -147,20 +162,94 @@ def state_weights(
         raise ValidationError(
             f"population_mode must be one of {POPULATION_MODES}, got {population_mode!r}"
         )
-    if not 0.0 <= manifold_split <= 1.0:
-        raise ValidationError(f"manifold_split must lie in [0, 1], got {manifold_split!r}")
-    pops = populations(beta).normalized
-    share = np.array([0.0, manifold_split, 1.0 - manifold_split])
     n_c13 = len(system.labels[0]) - 2
-
-    def basis_weight(labels):
-        s_index, i_index = _projection_index(labels)
-        return share[s_index] * pops[i_index] * 0.5 ** n_c13
-
     if population_mode == "nominal":
-        return basis_weight(system.labels)
-    basis_w = basis_weight(default_basis_labels(system.dim))
+        return _weights(*_projection_index(system.labels), n_c13, beta, manifold_split)
+    basis_labels = default_basis_labels(system.dim)
+    basis_w = _weights(*_projection_index(basis_labels), n_c13, beta, manifold_split)
     return (np.abs(system.vectors) ** 2).T @ basis_w
+
+
+def _band_mask(m_from: np.ndarray, m_to: np.ndarray, mode: str) -> np.ndarray:
+    """Pairs in ``mode``'s band, given the nominal m_S of their lower and upper levels."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    return (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
+
+
+@dataclass(frozen=True)
+class FieldStage:
+    """The population-independent half of a transition table.
+
+    Over all (i < j) level pairs of ``system``: the levels ``i`` and
+    ``j``, ``freq_mhz``, ``probability`` and ``band``, true where the
+    frequency is positive and the pair lies in the band the stage was
+    made for (any band for None).  Per level: the m_S / m_I index
+    (1 - m_S, 1 - m_I) read from its label, ``s_index`` / ``i_index``.
+    """
+
+    system: EigenSystem
+    i: np.ndarray
+    j: np.ndarray
+    freq_mhz: np.ndarray
+    probability: np.ndarray
+    band: np.ndarray
+    s_index: np.ndarray
+    i_index: np.ndarray
+
+
+def _field_stage(system: EigenSystem, p, mode: str | None) -> FieldStage:
+    p = np.asarray(p)
+    if p.shape != (system.dim, system.dim):
+        raise ValidationError("probability matrix does not match the eigen-system dimension")
+    s_index, i_index = _projection_index(system.labels)
+    energies = system.energies
+    iu, ju = nv_spin_model().triu if system.dim == 9 else np.triu_indices(system.dim, k=1)
+    freq = energies[ju] - energies[iu]  # ascending energies: j above i
+    band = freq > 0.0
+    if mode is not None:
+        m_s = 1 - s_index
+        band &= _band_mask(m_s[iu], m_s[ju], mode)
+    return FieldStage(system, iu, ju, freq, p[iu, ju], band, s_index, i_index)
+
+
+def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
+    """Fold the dipole operator and index the level pairs once per eigen-system and band."""
+    return _field_stage(system, transition_probabilities(dipole_elements(system)), mode)
+
+
+def population_stage(
+    stage: FieldStage,
+    beta: float,
+    manifold_split: float = 1.0,
+    population_mode: str = "nominal",
+    b_mt: float | None = None,
+    floor_rel: float = FLOOR_REL_DEFAULT,
+) -> TransitionTable:
+    """Weight a field stage's pairs and keep those above the floor and in its band.
+
+    The floor is ``floor_rel`` times the largest intensity over all
+    pairs, in or out of the band; the lower-energy level of each pair,
+    ``i``, supplies the population weight.
+    """
+    system = stage.system
+    if population_mode == "nominal":
+        n_c13 = len(system.labels[0]) - 2
+        weights = _weights(stage.s_index, stage.i_index, n_c13, beta, manifold_split)
+    else:
+        weights = state_weights(system, beta, manifold_split, population_mode)
+    intens = stage.probability * weights[stage.i]
+    keep = (intens > floor_rel * intens.max(initial=0.0)) & stage.band
+    return TransitionTable(
+        i=stage.i[keep],
+        j=stage.j[keep],
+        freq_mhz=stage.freq_mhz[keep],
+        probability=stage.probability[keep],
+        intensity=intens[keep],
+        energies=system.energies.copy(),
+        labels=system.labels,
+        b_mt=b_mt,
+    )
 
 
 def intensity_matrix(
@@ -172,31 +261,19 @@ def intensity_matrix(
     population_mode: str = "nominal",
     b_mt: float | None = None,
 ) -> TransitionTable:
-    """Population-weighted transition table.
+    """Population-weighted table over all bands, from a probability matrix ``p``.
 
     A pair of levels is kept when its intensity exceeds ``floor_rel``
     times the maximum intensity; the lower-energy level of each pair,
     ``i``, supplies the population weight.
     """
-    p = np.asarray(p)
-    if p.shape != (system.dim, system.dim):
-        raise ValidationError("probability matrix does not match the eigen-system dimension")
-    weights = state_weights(system, beta, manifold_split, population_mode)
-    energies = system.energies
-    iu, ju = nv_spin_model().triu if system.dim == 9 else np.triu_indices(system.dim, k=1)
-    freq = energies[ju] - energies[iu]  # ascending energies: j above i
-    prob = p[iu, ju]
-    intens = prob * weights[iu]
-    keep = (intens > floor_rel * intens.max(initial=0.0)) & (freq > 0.0)
-    return TransitionTable(
-        i=iu[keep],
-        j=ju[keep],
-        freq_mhz=freq[keep],
-        probability=prob[keep],
-        intensity=intens[keep],
-        energies=energies.copy(),
-        labels=system.labels,
+    return population_stage(
+        _field_stage(system, p, None),
+        beta,
+        manifold_split,
+        population_mode,
         b_mt=b_mt,
+        floor_rel=floor_rel,
     )
 
 
@@ -210,11 +287,8 @@ def select_rows(table: TransitionTable, mode: str | None) -> TransitionTable:
     """
     if mode is None:
         return table
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     m_s = 1 - _projection_index(table.labels)[0]
-    m_from, m_to = m_s[table.i], m_s[table.j]
-    keep = (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
+    keep = _band_mask(m_s[table.i], m_s[table.j], mode)
     return replace(table, **{name: getattr(table, name)[keep] for name in _ENTRY_FIELDS})
 
 
@@ -227,14 +301,6 @@ def transition_table(
     b_mt: float | None = None,
 ) -> TransitionTable:
     """Full pipeline from an eigen-system to a (possibly band-limited) table."""
-    m = dipole_elements(system)
-    p = transition_probabilities(m)
-    table = intensity_matrix(
-        p,
-        system,
-        beta,
-        manifold_split=manifold_split,
-        population_mode=population_mode,
-        b_mt=b_mt,
+    return population_stage(
+        field_stage(system, mode), beta, manifold_split, population_mode, b_mt=b_mt
     )
-    return select_rows(table, mode)

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nvgslac import fitting
 from nvgslac.carbon13 import McConfig, load_families, sample_placement
-from nvgslac.cli import main
+from nvgslac.cli import MAX_SWEEP_FIELDS, main
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS
 from nvgslac.spectrum import MeasuredSpectrum, read_spectrum_csv, write_spectrum_csv
@@ -266,6 +268,82 @@ def test_fit_missing_field_is_validation_error(tmp_path):
     path.write_text("freq_mhz,value\n1,0.5\n2,0.4\n")
     code = run(["fit", str(path), "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+@pytest.fixture
+def fit_input(tmp_path):
+    b = 101.5
+    center = C.d_g + C.gamma_e * b
+    grid = np.arange(center - 12.0, center + 12.0, 0.1)
+    values = model_spectrum(FitParams(beta=0.4, b=b, width=1.0), grid, mode="hi").values
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, MeasuredSpectrum(grid=grid, values=values, meta={"b_mt": b}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--b-mt", "inf"),
+        ("--b-mt", "nan"),
+        ("--b-mt", "-1"),
+        ("--theta-deg", "200"),
+        ("--beta", "nan"),
+        ("--beta", "-inf"),
+        ("--width-mhz", "nan"),
+        ("--width-mhz", "inf"),
+    ],
+)
+def test_fit_bad_start_rejected_before_any_evaluation(
+    fit_input, tmp_path, monkeypatch, capsys, flag, value
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was evaluated")
+
+    monkeypatch.setattr(fitting, "build_nv_hamiltonian", no_build)
+    code = run(["fit", str(fit_input), f"{flag}={value}", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--b-start", "nan"),
+        ("--b-start", "-inf"),
+        ("--b-stop", "inf"),
+        ("--b-stop", "nan"),
+        ("--b-step", "nan"),
+        ("--b-step", "inf"),
+    ],
+)
+def test_simulate_non_finite_sweep_is_validation_error(tmp_path, capsys, flag, value):
+    sweep = {"--b-start": "101", "--b-stop": "102", "--b-step": "0.5", flag: value}
+    args = ["simulate", "--grid", "5680:5740:0.1", "--out", str(tmp_path / "x")]
+    code = run(args + [f"{key}={text}" for key, text in sweep.items()])
+    assert code == 2
+    assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+
+
+def test_simulate_sweep_cap_checked_before_allocation(tmp_path, capsys):
+    args = [
+        "simulate",
+        "--b-start", "100", "--b-stop", "101", "--b-step", "1e-12",
+        "--grid", "5680:5740:0.1",
+        "--out", str(tmp_path / "x"),
+    ]
+    tracemalloc.start()
+    try:
+        code = run(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "1e+12 fields" in err and f"cap of {MAX_SWEEP_FIELDS} fields" in err
+    assert peak < 1_000_000
+    assert not (tmp_path / "x").exists()
 
 
 def test_calibrate_round_trip(tmp_path):

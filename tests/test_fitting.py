@@ -147,14 +147,19 @@ def test_fit_width_broadening_recovered():
 
 @pytest.fixture
 def model_calls(monkeypatch):
-    """Record one entry per model spectrum the fitter synthesizes."""
+    """Record the parameters of each model spectrum the fitter evaluates.
+
+    Every evaluation, counted or a curvature probe, looks up its field
+    stage exactly once, cached or not.
+    """
     calls = []
+    lookup = fitting._FieldStages.__call__
 
-    def counting_model(*args, **kwargs):
-        calls.append(1)
-        return model_spectrum(*args, **kwargs)
+    def counting_lookup(self, params):
+        calls.append(params)
+        return lookup(self, params)
 
-    monkeypatch.setattr(fitting, "model_spectrum", counting_model)
+    monkeypatch.setattr(fitting._FieldStages, "__call__", counting_lookup)
     return calls
 
 
@@ -177,6 +182,74 @@ def test_fit_n_evaluations_includes_field_scan(model_calls):
     # is a counted evaluation
     assert len(result.curvatures) == 3
     assert result.n_evaluations == len(model_calls) - 2 * len(result.curvatures)
+
+
+@pytest.fixture
+def field_builds(monkeypatch):
+    """Record the field of every Hamiltonian the fitter builds."""
+    builds = []
+    build = fitting.build_nv_hamiltonian
+
+    def counting_build(constants, field_cfg):
+        builds.append(field_cfg.b)
+        return build(constants, field_cfg)
+
+    monkeypatch.setattr(fitting, "build_nv_hamiltonian", counting_build)
+    return builds
+
+
+def test_b_fixed_fit_builds_its_field_once(model_calls, field_builds):
+    b = gslac_field(C) + 0.1
+    data, _ = synthetic_spectrum(0.3, b, 1.2, seed=4)
+    del model_calls[:], field_builds[:]  # the data's own model spectrum
+    result = fit_spectrum(data, FitParams(beta=0.0, b=b, width=1.2))
+    assert "b_fixed_near_gslac" in result.flags
+    assert result.n_evaluations == len(model_calls) - 6
+    assert field_builds == [b]
+
+
+def test_b_free_fit_builds_each_field_once(model_calls, field_builds):
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    del model_calls[:], field_builds[:]
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
+    assert "b_fixed_near_gslac" not in result.flags
+    assert len(field_builds) == len(set(field_builds))
+    assert set(field_builds) == {params.b for params in model_calls}
+    assert len(field_builds) < len(model_calls)
+
+
+def test_fit_keeps_no_field_stage_between_calls(field_builds):
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    start = FitParams(beta=0.0, b=101.35, width=1.0)
+    del field_builds[:]
+    first = fit_spectrum(data, start)
+    n_first = len(field_builds)
+    second = fit_spectrum(data, start)
+    assert len(field_builds) == 2 * n_first
+    assert field_builds[n_first:] == field_builds[:n_first]
+    assert second == first
+
+
+def test_fit_field_cache_holds_at_most_its_cap(monkeypatch, field_builds):
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    start = FitParams(beta=0.0, b=101.35, width=1.0)
+    uncapped = fit_spectrum(data, start)
+    n_fields = len(set(field_builds))
+    del field_builds[:]
+    sizes = []
+    lookup = fitting._FieldStages.__call__
+
+    def recording_lookup(self, params):
+        stage = lookup(self, params)
+        sizes.append(len(self.stages))
+        return stage
+
+    monkeypatch.setattr(fitting._FieldStages, "__call__", recording_lookup)
+    monkeypatch.setattr(fitting, "FIELD_CACHE_SIZE", 4)
+    capped = fit_spectrum(data, start)
+    assert max(sizes) == 4
+    assert len(field_builds) > n_fields  # dropped fields were solved again
+    assert capped == uncapped
 
 
 def test_fit_curvature_probes_stay_within_budget():

@@ -9,7 +9,9 @@ from nvgslac.hamiltonian import DEFAULT_CONSTANTS, truncated_eigensystem
 from nvgslac.spin_core import EigenSystem, product_basis_labels
 from nvgslac.transitions import (
     dipole_elements,
+    field_stage,
     intensity_matrix,
+    population_stage,
     populations,
     select_rows,
     state_weights,
@@ -211,3 +213,94 @@ def test_floor_filters_weak_rows():
     loose = intensity_matrix(p, system, beta=0.0, floor_rel=1e-12)
     tight = intensity_matrix(p, system, beta=0.0, floor_rel=1e-2)
     assert len(tight.rows) < len(loose.rows)
+
+
+def _oracle_table(system, beta, split, population_mode, mode, b_mt):
+    """The one-stage pipeline, spelled out: dipole fold, weights, floor over all pairs, band."""
+    m = dipole_elements(system)
+    p = (m * m.T).real
+    raw = np.exp(np.array([0.0, beta, 2.0 * beta]))
+    pops = raw / raw.sum()
+    share = np.array([0.0, split, 1.0 - split])
+    index = {1: 0, 0: 1, -1: 2}
+    n_c13 = len(system.labels[0]) - 2
+
+    def basis_weight(labels):
+        s_index = np.array([index[label[0]] for label in labels])
+        i_index = np.array([index[label[1]] for label in labels])
+        return share[s_index] * pops[i_index] * 0.5 ** n_c13
+
+    if population_mode == "nominal":
+        weights = basis_weight(system.labels)
+    else:
+        weights = (np.abs(system.vectors) ** 2).T @ basis_weight(product_basis_labels(n_c13))
+    iu, ju = np.triu_indices(system.dim, k=1)
+    freq = system.energies[ju] - system.energies[iu]
+    prob = p[iu, ju]
+    intens = prob * weights[iu]
+    keep = (intens > 1e-6 * intens.max(initial=0.0)) & (freq > 0.0)
+    i, j, freq, prob, intens = iu[keep], ju[keep], freq[keep], prob[keep], intens[keep]
+    if mode is not None:
+        m_s = np.array([label[0] for label in system.labels])
+        band = (m_s[j] == 1 if mode == "hi" else m_s[j] != 1) & (m_s[i] != 1)
+        i, j, freq, prob, intens = i[band], j[band], freq[band], prob[band], intens[band]
+    return i, j, freq, prob, intens
+
+
+def _assert_matches_oracle(system, beta, split, population_mode, mode):
+    expected = _oracle_table(system, beta, split, population_mode, mode, 102.4)
+    p = transition_probabilities(dipole_elements(system))
+    chained = select_rows(
+        intensity_matrix(p, system, beta, split, population_mode=population_mode, b_mt=102.4),
+        mode,
+    )
+    staged = transition_table(system, beta, split, population_mode, mode=mode, b_mt=102.4)
+    for table in (staged, chained):
+        got = (table.i, table.j, table.freq_mhz, table.probability, table.intensity)
+        for name, a, b in zip(("i", "j", "freq_mhz", "probability", "intensity"), got, expected):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(table.energies, system.energies)
+        assert table.labels == system.labels
+        assert table.b_mt == 102.4
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 0.3])
+@pytest.mark.parametrize("b", [101.0, 102.37, 102.4, 103.5])
+def test_two_stage_table_matches_one_stage_oracle(b, theta_deg):
+    system = nv_system(b, theta_deg=theta_deg)
+    for mode in ("hi", "lo", None):
+        for split in (1.0, 0.6):
+            for beta in (-1.3, 0.0, 0.4, 2.0):
+                _assert_matches_oracle(system, beta, split, "nominal", mode)
+        _assert_matches_oracle(system, 0.7, 0.6, "composition", mode)
+
+
+@pytest.mark.parametrize("n_c13", [1, 2, 3])
+def test_two_stage_table_matches_oracle_with_carbon13(n_c13):
+    from nvgslac.carbon13 import C13Placement, build_full_hamiltonian, load_families, site_list
+    from nvgslac.hamiltonian import FieldConfig, build_nv_hamiltonian
+    from nvgslac.spin_core import eigensolve
+
+    field = FieldConfig(b=102.4, theta_deg=0.3)
+    families = load_families()
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field)
+    placement = C13Placement(occupied=site_list(families)[::5][:n_c13])
+    h = build_full_hamiltonian(base, placement, families, field, DEFAULT_CONSTANTS)
+    system = eigensolve(h, product_basis_labels(n_c13))
+    for mode in ("hi", "lo", None):
+        _assert_matches_oracle(system, 0.4, 0.6, "nominal", mode)
+        _assert_matches_oracle(system, 0.4, 1.0, "composition", mode)
+
+
+def test_population_stage_reuses_one_field_stage():
+    system = nv_system(102.3, theta_deg=0.3)
+    stage = field_stage(system, "lo")
+    for beta, split in ((0.0, 1.0), (0.9, 0.6), (-0.4, 0.3)):
+        table = population_stage(stage, beta, split, b_mt=102.3)
+        expected = transition_table(system, beta, split, mode="lo", b_mt=102.3)
+        assert all(
+            np.array_equal(getattr(table, name), getattr(expected, name))
+            for name in ("i", "j", "freq_mhz", "probability", "intensity")
+        )
+    with pytest.raises(ValidationError, match="mid"):
+        field_stage(system, "mid")
