@@ -13,6 +13,14 @@ and the exact bits of the dense build (see ``build_full_hamiltonian``).
 Ensemble averages are reproducible: draw k uses a generator seeded with the
 sequence ``[master_seed, k]``, so different master seeds give independent
 streams, and the draws are averaged in iteration order.
+
+Every site of a family shares one rotated tensor, so a draw's curve depends
+only on the family labels of its occupied sites, in placement order.  An
+ensemble average builds and solves each such label sequence once and reuses
+its curve for every other draw with the same sequence (the carbon-free
+curve for every empty draw); the cost grows with the number of distinct
+sequences, not of draws, and the result is the same bits as solving every
+draw.  The reuse lasts one call.
 """
 
 from __future__ import annotations
@@ -39,6 +47,12 @@ from .transitions import transition_table
 
 EXPECTED_SITE_TOTAL = 39
 MAX_N_C13_DEFAULT = 8
+MAX_ITERATIONS = 10**6
+
+_HALF = spin_matrices(0.5)
+_EYE9 = np.eye(9)
+for _array in (_HALF.sx, _HALF.sy, _HALF.sz, _EYE9):
+    _array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -170,9 +184,16 @@ def sample_placement(cfg: McConfig, iteration: int, families) -> C13Placement:
     return C13Placement(occupied=occupied)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same products, without its axis bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def _at_site(op: np.ndarray, k: int, n: int) -> np.ndarray:
     """A 2x2 operator on site k of the 2**n-dim carbon space."""
-    return np.kron(np.kron(np.eye(2 ** k), op), np.eye(2 ** (n - k - 1)))
+    return _kron(_kron(np.eye(2 ** k), op), np.eye(2 ** (n - k - 1)))
 
 
 def build_full_hamiltonian(
@@ -198,9 +219,8 @@ def build_full_hamiltonian(
         )
     by_label = {f.label: f for f in families}
     model = nv_spin_model()
-    half = spin_matrices(0.5)
-    j_ops = (half.sx, half.sy, half.sz)
-    h = np.kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
+    j_ops = (_HALF.sx, _HALF.sy, _HALF.sz)
+    h = _kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
     direction = field_cfg.direction()
     zeeman = constants.gamma_c13 * field_cfg.b * sum(d * j for d, j in zip(direction, j_ops))
     for k, (label, site) in enumerate(placement.occupied):
@@ -215,8 +235,8 @@ def build_full_hamiltonian(
             )
         coupling = rotate_tensor(fam.tensor, fam.cos_zz)
         for s_a, row in zip((model.sx, model.sy, model.sz), coupling):
-            h += np.kron(s_a, _at_site(sum(c * j for c, j in zip(row, j_ops)), k, n))
-        h += np.kron(np.eye(9), _at_site(zeeman, k, n))
+            h += _kron(s_a, _at_site(sum(c * j for c, j in zip(row, j_ops)), k, n))
+        h += _kron(_EYE9, _at_site(zeeman, k, n))
     return h
 
 
@@ -235,18 +255,37 @@ def mc_average_spectrum(
     ``families`` defaults to ``load_families(cfg.family_file)``; pass them
     when they are already loaded, so the file is read once.  Carbon
     projections enter the population weighting uniformly (spectators).
-    Every placement is drawn before any Hamiltonian is built, and
-    ``ResourceLimitError`` is raised if a draw has more than
-    ``MAX_N_C13_DEFAULT`` sites.  Returns the mean curve and its per-point
-    standard error; the same ``cfg`` gives the same result.
+    ``ResourceLimitError`` is raised before the first draw if
+    ``cfg.iterations`` exceeds ``MAX_ITERATIONS``, and before any
+    Hamiltonian is built if a draw has more than ``MAX_N_C13_DEFAULT``
+    sites.  Each distinct label sequence is solved once (see the module
+    docstring).  Returns the mean curve and its per-point standard error;
+    the same ``cfg`` gives the same result.  ``meta`` holds the settings,
+    the histogram of sites per draw (``n_c13_histogram[n]`` draws with n
+    sites), ``curves_computed`` (distinct sequences, the carbon-free one
+    included) and ``draws_reused`` (draws that reused a curve).
     """
+    if cfg.iterations > MAX_ITERATIONS:
+        raise ResourceLimitError(
+            f"{cfg.iterations} Monte Carlo draws exceed the cap of {MAX_ITERATIONS}"
+        )
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid must be nonempty")
     if families is None:
         families = load_families(cfg.family_file)
-    placements = [sample_placement(cfg, k, families) for k in range(cfg.iterations)]
-    over = [p.n_c13 for p in placements if p.n_c13 > MAX_N_C13_DEFAULT]
+    # The build reads only the family labels of a placement, in order (a
+    # site index is only range-checked, and sampled sites are in range), so
+    # equal keys give equal Hamiltonians.  When sites of a family get their
+    # own azimuths, the key must grow to hold them.
+    keys = []
+    first = {}
+    for k in range(cfg.iterations):
+        placement = sample_placement(cfg, k, families)
+        key = tuple(label for label, _ in placement.occupied)
+        first.setdefault(key, placement)
+        keys.append(key)
+    over = [len(key) for key in keys if len(key) > MAX_N_C13_DEFAULT]
     if over:
         raise ResourceLimitError(
             f"{len(over)} of {cfg.iterations} draws exceed the cap of {MAX_N_C13_DEFAULT} "
@@ -258,22 +297,46 @@ def mc_average_spectrum(
         return synthesize(table, width, grid).values
 
     base = build_nv_hamiltonian(constants, field_cfg)
-    base_values = curve(base)
-    curves = np.array(
-        [
-            curve(build_full_hamiltonian(base, p, families, field_cfg, constants))
-            if p.n_c13
-            else base_values
-            for p in placements
-        ]
-    )
-    mean = curves.mean(axis=0)
-    n = cfg.iterations
-    stderr = curves.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    curves = {(): curve(base)}
+    for key, placement in first.items():
+        if key:
+            curves[key] = curve(
+                build_full_hamiltonian(base, placement, families, field_cfg, constants)
+            )
+    mean, stderr = _mean_and_stderr([curves[key] for key in keys])
     meta = {
         "iterations": cfg.iterations,
         "occupancy": cfg.occupancy,
         "seed": cfg.seed,
         "b_mt": field_cfg.b,
+        "n_c13_histogram": np.bincount([len(key) for key in keys]).tolist(),
+        "curves_computed": len(curves),
+        "draws_reused": cfg.iterations - (len(curves) - 1),
     }
     return SpectrumModel(peaks=np.empty((0, 3)), grid=grid, values=mean, meta=meta, stderr=stderr)
+
+
+def _mean_and_stderr(rows: list) -> tuple:
+    """Pointwise mean and standard error of the rows, summed in row order.
+
+    Bit-equal to ``arr.mean(axis=0)`` and ``arr.std(axis=0, ddof=1) /
+    sqrt(N)`` of the stacked rows, which add row by row in the same order,
+    without holding the (N x grid) array.  One row has zero standard error.
+    """
+    n = len(rows)
+    if rows[0].size == 1:
+        # numpy sums an (N, 1) stack pairwise, not row by row; it is N floats
+        stack = np.array(rows)
+        mean = stack.mean(axis=0)
+        return mean, stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    mean = total / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    squares = np.zeros_like(mean)
+    for row in rows:
+        d = row - mean
+        squares += d * d
+    return mean, np.sqrt(squares / (n - 1)) / math.sqrt(n)

@@ -224,7 +224,9 @@ def cmd_mc13(args) -> int:
         _spectrum_meta(args, args.b_mt),
         args.format,
     )
-    _write_json(out_dir / "provenance.json", _provenance(args, constants, "mc13"))
+    provenance = _provenance(args, constants, "mc13")
+    provenance["mc"] = spec.meta
+    _write_json(out_dir / "provenance.json", provenance)
     return 0
 
 

@@ -208,6 +208,69 @@ def test_kronecker_build_equals_dense_oracle(constants, rng):
         assert np.array_equal(h, expected), (trial, placement)
 
 
+def numpy_kron_full_hamiltonian(base, placement, families, field_cfg, constants):
+    """The previous Kronecker build with ``np.kron`` and per-call operators."""
+    n = placement.n_c13
+    by_label = {f.label: f for f in families}
+    model = nv_spin_model()
+    half = spin_matrices(0.5)
+    j_ops = (half.sx, half.sy, half.sz)
+
+    def at_site(op, k):
+        return np.kron(np.kron(np.eye(2 ** k), op), np.eye(2 ** (n - k - 1)))
+
+    h = np.kron(np.asarray(base, dtype=complex), np.eye(2 ** n))
+    direction = field_cfg.direction()
+    zeeman = constants.gamma_c13 * field_cfg.b * sum(d * j for d, j in zip(direction, j_ops))
+    for k, (label, _site) in enumerate(placement.occupied):
+        fam = by_label[label]
+        coupling = rotate_tensor(fam.tensor, fam.cos_zz)
+        for s_a, row in zip((model.sx, model.sy, model.sz), coupling):
+            h += np.kron(s_a, at_site(sum(c * j for c, j in zip(row, j_ops)), k))
+        h += np.kron(np.eye(9), at_site(zeeman, k))
+    return h
+
+
+def test_build_bytes_equal_numpy_kron_build(rng):
+    # tobytes() also tells -0.0 from +0.0, which np.array_equal does not
+    families = load_families()
+    sites = site_list(families)
+    for trial in range(36):
+        n = 1 + trial % 6
+        field_cfg = FieldConfig(
+            b=rng.uniform(95.0, 110.0),
+            theta_deg=(0.0, 0.3, 2.0)[trial % 3],
+            phi_deg=rng.uniform(0.0, 360.0),
+        )
+        placement = C13Placement(
+            occupied=tuple(sites[i] for i in sorted(rng.choice(len(sites), n, replace=False)))
+        )
+        base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field_cfg)
+        expected = numpy_kron_full_hamiltonian(
+            base, placement, families, field_cfg, DEFAULT_CONSTANTS
+        )
+        h = build_full_hamiltonian(base, placement, families, field_cfg, DEFAULT_CONSTANTS)
+        assert h.tobytes() == expected.tobytes(), (trial, placement)
+
+
+def test_equal_label_sequences_build_equal_bytes():
+    # the premise of the per-call curve reuse: the build reads the family
+    # labels in order, never the site index
+    families = load_families()
+    field_cfg = FieldConfig(b=102.1, theta_deg=0.3, phi_deg=40.0)
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field_cfg)
+    labels = [f.label for f in families if f.multiplicity >= 3][:2]
+    one = C13Placement(occupied=((labels[0], 0), (labels[1], 2)))
+    two = C13Placement(occupied=((labels[0], 2), (labels[1], 1)))
+    swapped = C13Placement(occupied=((labels[1], 0), (labels[0], 1)))
+    h_one, h_two, h_swapped = (
+        build_full_hamiltonian(base, p, families, field_cfg, DEFAULT_CONSTANTS)
+        for p in (one, two, swapped)
+    )
+    assert h_one.tobytes() == h_two.tobytes()
+    assert h_one.tobytes() != h_swapped.tobytes()
+
+
 def test_carbon13_paths_call_no_embed(monkeypatch):
     nv_spin_model()
 
@@ -350,3 +413,103 @@ def test_mc_off_axis_enables_forbidden_rows_in_average():
     spec = mc_average_spectrum(cfg, FIELD, beta=0.0, width=1.0, grid=GRID, mode="lo")
     base = synthesize(nv_table(FIELD.b, mode="lo"), 1.0, GRID)
     assert np.max(np.abs(spec.values - base.values)) > 1e-4
+
+
+HI_GRID = np.arange(5650.0, 5900.0, 0.5)
+
+
+def per_draw_mc(cfg, field_cfg, grid, mode, beta=0.2, width=1.0):
+    """Mean and stderr solving every draw, as an (iterations x grid) array."""
+    families = load_families()
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field_cfg)
+    rows = []
+    for k in range(cfg.iterations):
+        placement = sample_placement(cfg, k, families)
+        h = build_full_hamiltonian(base, placement, families, field_cfg, DEFAULT_CONSTANTS)
+        table = transition_table(eigensolve(h), beta, mode=mode, b_mt=field_cfg.b)
+        rows.append(synthesize(table, width, grid).values)
+    curves = np.array(rows)
+    n = cfg.iterations
+    return curves.mean(axis=0), curves.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("mode", ["lo", "hi"])
+@pytest.mark.parametrize("theta_deg", [0.0, 0.3])
+@pytest.mark.parametrize("occupancy, iterations, seed", [(0.011, 60, 3), (0.1, 8, 1)])
+def test_mc_reuse_equals_per_draw_loop(mode, theta_deg, occupancy, iterations, seed):
+    # the 10 % draws hold 2-6 sites (dim up to 576)
+    cfg = McConfig(iterations=iterations, occupancy=occupancy, seed=seed)
+    field_cfg = FieldConfig(b=102.2, theta_deg=theta_deg)
+    grid = GRID if mode == "lo" else HI_GRID
+    spec = mc_average_spectrum(cfg, field_cfg, beta=0.2, width=1.0, grid=grid, mode=mode)
+    mean, stderr = per_draw_mc(cfg, field_cfg, grid, mode)
+    assert np.array_equal(spec.values, mean)
+    assert np.array_equal(spec.stderr, stderr)
+    if occupancy == 0.011:
+        assert spec.meta["draws_reused"] > spec.meta["n_c13_histogram"][0]
+
+
+def test_stream_mean_and_stderr_equal_array_reduction(rng):
+    # a one-point grid is the case where numpy's column sum is pairwise
+    for trial in range(200):
+        size = (1, 2, 7, 50, 400)[trial % 5]
+        distinct = [rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3) for _ in range(5)]
+        n = int(rng.integers(1, 60))
+        rows = [distinct[i] for i in rng.integers(0, len(distinct), n)]
+        mean, stderr = carbon13._mean_and_stderr(rows)
+        arr = np.array(rows)
+        assert mean.tobytes() == arr.mean(axis=0).tobytes()
+        expected = arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(size)
+        assert stderr.tobytes() == expected.tobytes()
+
+
+def count_builds(monkeypatch):
+    """Record the label sequence of every carbon-13 build."""
+    built = []
+    real = carbon13.build_full_hamiltonian
+
+    def counting(base, placement, *args, **kwargs):
+        built.append(tuple(label for label, _ in placement.occupied))
+        return real(base, placement, *args, **kwargs)
+
+    monkeypatch.setattr(carbon13, "build_full_hamiltonian", counting)
+    return built
+
+
+def test_mc_builds_each_label_sequence_once(monkeypatch):
+    cfg = McConfig(iterations=300, occupancy=0.011, seed=4)
+    families = load_families()
+    keys = [
+        tuple(label for label, _ in sample_placement(cfg, k, families).occupied)
+        for k in range(cfg.iterations)
+    ]
+    distinct = {key for key in keys if key}
+    built = count_builds(monkeypatch)
+    spec = mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo", families=families)
+    assert len(built) == len(set(built)) == len(distinct) < sum(map(bool, keys))
+    assert set(built) == distinct
+    meta = spec.meta
+    assert meta["curves_computed"] == len(distinct) + 1
+    assert meta["draws_reused"] == cfg.iterations - len(distinct)
+    assert meta["n_c13_histogram"] == np.bincount([len(key) for key in keys]).tolist()
+    assert sum(meta["n_c13_histogram"]) == cfg.iterations
+
+
+def test_mc_reuse_lasts_one_call(monkeypatch):
+    cfg = McConfig(iterations=100, occupancy=0.011, seed=6)
+    built = count_builds(monkeypatch)
+    mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")
+    first = len(built)
+    mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")
+    assert first > 0
+    assert len(built) == 2 * first
+
+
+def test_mc_iterations_cap_checked_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a placement was drawn before the iterations cap check")
+
+    monkeypatch.setattr(carbon13, "sample_placement", no_draw)
+    cfg = McConfig(iterations=carbon13.MAX_ITERATIONS + 1, occupancy=0.011)
+    with pytest.raises(ResourceLimitError, match=f"{cfg.iterations} .* cap of {carbon13.MAX_ITERATIONS}"):
+        mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")

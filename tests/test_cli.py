@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nvgslac import fitting
-from nvgslac.carbon13 import McConfig, load_families, sample_placement
+from nvgslac import carbon13, fitting
+from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
 from nvgslac.cli import MAX_SWEEP_FIELDS, main
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS
@@ -412,6 +412,40 @@ def test_mc13_with_carbon13_present(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_mc13_provenance_records_mc_statistics(tmp_path):
+    out = tmp_path / "mc"
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--iterations", "200"]
+    assert run(args + ["--occupancy", "0.011", "--seed", "3", "--out", str(out)]) == 0
+    mc = json.loads((out / "provenance.json").read_text())["mc"]
+    families = load_families()
+    cfg = McConfig(iterations=200, occupancy=0.011, seed=3)
+    draws = [sample_placement(cfg, k, families) for k in range(cfg.iterations)]
+    keys = {tuple(label for label, _ in d.occupied) for d in draws if d.n_c13}
+    assert mc["iterations"] == 200 and mc["seed"] == 3
+    assert mc["n_c13_histogram"] == np.bincount([d.n_c13 for d in draws]).tolist()
+    assert sum(mc["n_c13_histogram"]) == 200
+    assert mc["curves_computed"] == len(keys) + 1
+    assert mc["curves_computed"] - 1 + mc["draws_reused"] == 200
+
+
+def test_mc13_iterations_cap_checked_before_sampling(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = carbon13.sample_placement
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(carbon13, "sample_placement", counting)
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--out", str(tmp_path)]
+    assert run(args + ["--iterations", str(MAX_ITERATIONS + 1)]) == 5
+    assert calls == []
+    err = capsys.readouterr().err
+    assert f"{MAX_ITERATIONS + 1} Monte Carlo draws" in err and f"cap of {MAX_ITERATIONS}" in err
+    assert run(args + ["--iterations", "3"]) == 0
+    assert len(calls) == 3
 
 
 def test_mc13_parses_a_custom_family_file_once(tmp_path):
