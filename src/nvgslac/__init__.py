@@ -46,7 +46,6 @@ from .spectrum import (
     MeasuredSpectrum,
     SpectrumModel,
     frequency_grid,
-    normalize,
     read_spectrum_csv,
     synthesize,
     track_transition,

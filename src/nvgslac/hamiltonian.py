@@ -163,10 +163,6 @@ class HyperfineTensor:
         return np.diag([self.axx, self.ayy, self.azz]).astype(float)
 
 
-def nitrogen_tensor(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> HyperfineTensor:
-    return HyperfineTensor(axx=constants.a_perp, ayy=constants.a_perp, azz=constants.a_par)
-
-
 # Basis index of |m_S, m_I> in the 9-dim product basis.
 def basis_index(ms: int, mi: int) -> int:
     return 3 * (1 - ms) + (1 - mi)

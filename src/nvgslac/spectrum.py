@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,17 +113,6 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     return SpectrumModel(peaks=peaks, grid=grid, values=values)
 
 
-def normalize(spec):
-    """Scale a spectrum to unit peak amplitude; the factor is kept in meta."""
-    peak = float(np.max(np.abs(spec.values))) if np.size(spec.values) else 0.0
-    if peak == 0.0:
-        raise ValidationError("cannot normalize an all-zero spectrum")
-    scale = 1.0 / peak
-    meta = dict(spec.meta or {})
-    meta["scale"] = meta.get("scale", 1.0) * scale
-    return replace(spec, values=spec.values * scale, meta=meta)
-
-
 def track_transition(tables, from_label, to_label) -> list:
     """Follow one nominally-labeled transition across a field sweep.
 
@@ -188,8 +177,8 @@ def write_spectrum_csv(path, spec, extra_meta: dict | None = None) -> None:
         fh.write(spectrum_to_csv(spec, extra_meta))
 
 
-def read_spectrum_csv(path, invert: bool = False) -> MeasuredSpectrum:
-    """Read a spectrum CSV; ``invert`` flips the sign convention of values."""
+def read_spectrum_csv(path) -> MeasuredSpectrum:
+    """Read a spectrum CSV written in the positive-dip convention."""
     meta = {}
     grid = []
     values = []
@@ -231,11 +220,8 @@ def read_spectrum_csv(path, invert: bool = False) -> MeasuredSpectrum:
         raise ParseError(f"{path}: missing 'freq_mhz,value' header")
     if not grid:
         raise ParseError(f"{path}: no data rows")
-    values_arr = np.array(values)
-    if invert:
-        values_arr = -values_arr
     try:
-        return MeasuredSpectrum(grid=np.array(grid), values=values_arr, meta=meta)
+        return MeasuredSpectrum(grid=np.array(grid), values=np.array(values), meta=meta)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

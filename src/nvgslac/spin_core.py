@@ -81,15 +81,11 @@ def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
     return out
 
 
-def is_hermitian(h: np.ndarray) -> bool:
-    """True when h, or every matrix of a stack (n, d, d), is Hermitian to HERMITICITY_RTOL."""
+def require_hermitian(h: np.ndarray) -> None:
+    """Raise unless h, or every matrix of a stack (n, d, d), is Hermitian to HERMITICITY_RTOL."""
     h = np.asarray(h)
     anti = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return bool(np.all(anti <= HERMITICITY_RTOL * np.linalg.norm(h, axis=(-2, -1))))
-
-
-def require_hermitian(h: np.ndarray) -> None:
-    if not is_hermitian(h):
+    if not np.all(anti <= HERMITICITY_RTOL * np.linalg.norm(h, axis=(-2, -1))):
         raise ValidationError("matrix is not Hermitian within tolerance")
 
 
@@ -172,27 +168,6 @@ def format_label(label) -> str:
     head = ",".join(parts[:2])
     tail = ",".join(parts[2:])
     return f"|{head};{tail}>" if tail else f"|{head}>"
-
-
-def parse_label(text: str) -> tuple:
-    """Inverse of :func:`format_label`."""
-    body = text.strip()
-    if not (body.startswith("|") and body.endswith(">")):
-        raise ValidationError(f"malformed state label {text!r}")
-    body = body[1:-1].replace(";", ",")
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        if part in ("+1/2", "1/2"):
-            out.append(0.5)
-        elif part == "-1/2":
-            out.append(-0.5)
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ValidationError(f"malformed state label {text!r}") from None
-    return tuple(out)
 
 
 @dataclass(frozen=True)

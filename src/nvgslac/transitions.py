@@ -29,15 +29,14 @@ them per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .spin_core import EigenSystem, default_basis_labels, nv_spin_model
+from .spin_core import EigenSystem, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
-POPULATION_MODES = ("nominal", "composition")
 MODES = ("hi", "lo")
 
 _M_INDEX = {1: 0, 0: 1, -1: 2}  # share and populations are ordered m = +1, 0, -1
@@ -145,38 +144,6 @@ def _weights(s_index, i_index, n_c13: int, beta: float, manifold_split: float) -
     return share[s_index] * pops[i_index] * 0.5 ** n_c13
 
 
-def state_weights(
-    system: EigenSystem,
-    beta: float,
-    manifold_split: float = 1.0,
-    population_mode: str = "nominal",
-) -> np.ndarray:
-    """Population weight of each eigenstate when acting as the lower state.
-
-    ``manifold_split`` is the m_S = 0 share of the lower-manifold
-    population (the remainder sits in m_S = -1; m_S = +1 is empty).
-    ``"composition"`` mode distributes weight over a state's basis
-    content instead of its single nominal label.
-    """
-    if population_mode not in POPULATION_MODES:
-        raise ValidationError(
-            f"population_mode must be one of {POPULATION_MODES}, got {population_mode!r}"
-        )
-    n_c13 = len(system.labels[0]) - 2
-    if population_mode == "nominal":
-        return _weights(*_projection_index(system.labels), n_c13, beta, manifold_split)
-    basis_labels = default_basis_labels(system.dim)
-    basis_w = _weights(*_projection_index(basis_labels), n_c13, beta, manifold_split)
-    return (np.abs(system.vectors) ** 2).T @ basis_w
-
-
-def _band_mask(m_from: np.ndarray, m_to: np.ndarray, mode: str) -> np.ndarray:
-    """Pairs in ``mode``'s band, given the nominal m_S of their lower and upper levels."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    return (m_to == 1 if mode == "hi" else m_to != 1) & (m_from != 1)
-
-
 @dataclass(frozen=True)
 class FieldStage:
     """The population-independent half of a transition table.
@@ -208,8 +175,11 @@ def _field_stage(system: EigenSystem, p, mode: str | None) -> FieldStage:
     freq = energies[ju] - energies[iu]  # ascending energies: j above i
     band = freq > 0.0
     if mode is not None:
+        if mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        # hi: lower level in m_S {0, -1}, upper in m_S = +1; lo: both in {0, -1}
         m_s = 1 - s_index
-        band &= _band_mask(m_s[iu], m_s[ju], mode)
+        band &= (m_s[ju] == 1 if mode == "hi" else m_s[ju] != 1) & (m_s[iu] != 1)
     return FieldStage(system, iu, ju, freq, p[iu, ju], band, s_index, i_index)
 
 
@@ -222,7 +192,6 @@ def population_stage(
     stage: FieldStage,
     beta: float,
     manifold_split: float = 1.0,
-    population_mode: str = "nominal",
     b_mt: float | None = None,
     floor_rel: float = FLOOR_REL_DEFAULT,
 ) -> TransitionTable:
@@ -233,11 +202,8 @@ def population_stage(
     ``i``, supplies the population weight.
     """
     system = stage.system
-    if population_mode == "nominal":
-        n_c13 = len(system.labels[0]) - 2
-        weights = _weights(stage.s_index, stage.i_index, n_c13, beta, manifold_split)
-    else:
-        weights = state_weights(system, beta, manifold_split, population_mode)
+    n_c13 = len(system.labels[0]) - 2
+    weights = _weights(stage.s_index, stage.i_index, n_c13, beta, manifold_split)
     intens = stage.probability * weights[stage.i]
     keep = (intens > floor_rel * intens.max(initial=0.0)) & stage.band
     return TransitionTable(
@@ -258,7 +224,6 @@ def intensity_matrix(
     beta: float,
     manifold_split: float = 1.0,
     floor_rel: float = FLOOR_REL_DEFAULT,
-    population_mode: str = "nominal",
     b_mt: float | None = None,
 ) -> TransitionTable:
     """Population-weighted table over all bands, from a probability matrix ``p``.
@@ -268,39 +233,16 @@ def intensity_matrix(
     ``i``, supplies the population weight.
     """
     return population_stage(
-        _field_stage(system, p, None),
-        beta,
-        manifold_split,
-        population_mode,
-        b_mt=b_mt,
-        floor_rel=floor_rel,
+        _field_stage(system, p, None), beta, manifold_split, b_mt=b_mt, floor_rel=floor_rel
     )
-
-
-def select_rows(table: TransitionTable, mode: str | None) -> TransitionTable:
-    """Restrict a table to one microwave band.
-
-    ``"hi"`` keeps transitions from a nominal m_S in {0, -1} level to a
-    nominal m_S = +1 level; ``"lo"`` keeps those with both levels in the
-    m_S in {0, -1} manifold.
-    ``None`` keeps everything.
-    """
-    if mode is None:
-        return table
-    m_s = 1 - _projection_index(table.labels)[0]
-    keep = _band_mask(m_s[table.i], m_s[table.j], mode)
-    return replace(table, **{name: getattr(table, name)[keep] for name in _ENTRY_FIELDS})
 
 
 def transition_table(
     system: EigenSystem,
     beta: float,
     manifold_split: float = 1.0,
-    population_mode: str = "nominal",
     mode: str | None = None,
     b_mt: float | None = None,
 ) -> TransitionTable:
     """Full pipeline from an eigen-system to a (possibly band-limited) table."""
-    return population_stage(
-        field_stage(system, mode), beta, manifold_split, population_mode, b_mt=b_mt
-    )
+    return population_stage(field_stage(system, mode), beta, manifold_split, b_mt=b_mt)

@@ -5,6 +5,7 @@ from nvgslac.errors import ParseError, ValidationError
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
     FieldConfig,
+    HyperfineTensor,
     NV_N14_LABELS,
     PhysicalConstants,
     analytic_eigenstates,
@@ -14,7 +15,6 @@ from nvgslac.hamiltonian import (
     gslac_field,
     kappa_parameters,
     level_sweep,
-    nitrogen_tensor,
     parse_constants_file,
     truncated_eigensystem,
     truncated_hamiltonian,
@@ -35,7 +35,8 @@ def test_default_constants_values():
 
 
 def test_nitrogen_tensor_matches_constants():
-    t = nitrogen_tensor()
+    c = DEFAULT_CONSTANTS
+    t = HyperfineTensor(axx=c.a_perp, ayy=c.a_perp, azz=c.a_par)
     assert (t.axx, t.ayy, t.azz) == (-2.70, -2.70, -2.14)
     assert np.allclose(t.as_matrix(), np.diag([-2.70, -2.70, -2.14]))
 

@@ -15,7 +15,6 @@ from nvgslac.spectrum import (
     SpectrumModel,
     frequency_grid,
     lorentzian,
-    normalize,
     read_spectrum_csv,
     spectrum_to_csv,
     synthesize,
@@ -179,21 +178,6 @@ def test_synthesis_invariant_under_row_permutation():
     assert np.max(np.abs(spec.values - spec_r.values)) < 1e-12
 
 
-def test_normalize_scales_and_is_idempotent():
-    grid = np.linspace(0.0, 1.0, 5)
-    spec = MeasuredSpectrum(grid=grid, values=np.full(5, 0.5))
-    normed = normalize(spec)
-    assert np.allclose(normed.values, 1.0)
-    assert normed.meta["scale"] == pytest.approx(2.0)
-    spec2 = MeasuredSpectrum(grid=grid, values=np.array([0.001, 0.0045, 0.002, 0.001, 0.0]))
-    normed2 = normalize(spec2)
-    assert normed2.meta["scale"] == pytest.approx(1 / 0.0045)
-    again = normalize(normed2)
-    assert np.allclose(again.values, normed2.values)
-    with pytest.raises(ValidationError):
-        normalize(MeasuredSpectrum(grid=grid, values=np.zeros(5)))
-
-
 def test_hi_band_window():
     for b in np.linspace(101.0, 103.5, 11):
         table = nv_table(b, mode="hi")
@@ -298,15 +282,6 @@ def test_spectrum_csv_equals_per_row_oracle():
         stderr=np.array([0.0, np.inf, np.nan, -0.0, 5e-324, 1e-5, 7.0, 2.0**60]),
     )
     assert spectrum_to_csv(model, {"b_mt": 102.4}) == per_row_csv(model, {"b_mt": 102.4})
-
-
-def test_spectrum_csv_invert_flag(tmp_path):
-    grid = np.linspace(0.0, 1.0, 5)
-    spec = MeasuredSpectrum(grid=grid, values=-np.ones(5))
-    path = tmp_path / "neg.csv"
-    write_spectrum_csv(path, spec)
-    flipped = read_spectrum_csv(path, invert=True)
-    assert np.allclose(flipped.values, 1.0)
 
 
 def test_spectrum_csv_parse_errors(tmp_path):

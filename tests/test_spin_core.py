@@ -9,7 +9,6 @@ from nvgslac.spin_core import (
     embed,
     format_label,
     label_states,
-    parse_label,
     product_basis_labels,
     spin_matrices,
 )
@@ -141,8 +140,9 @@ def test_default_basis_labels_shapes():
     assert default_basis_labels(6) == tuple(range(6))
 
 
-def test_format_and_parse_label_round_trip():
-    for label in ((0, 1), (-1, -1), (1, 0, 0.5), (0, -1, -0.5, 0.5)):
-        assert parse_label(format_label(label)) == label
+def test_format_label_strings():
     assert format_label((0, 1)) == "|0,+1>"
     assert format_label((-1, 0, 0.5)) == "|-1,0;+1/2>"
+    assert format_label((-1, -1)) == "|-1,-1>"
+    assert format_label((1, 0, 0.5)) == "|+1,0;+1/2>"
+    assert format_label((0, -1, -0.5, 0.5)) == "|0,-1;-1/2,+1/2>"

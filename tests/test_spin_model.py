@@ -31,10 +31,9 @@ from nvgslac.spin_core import (
 )
 from nvgslac.transitions import (
     dipole_elements,
-    intensity_matrix,
-    select_rows,
-    state_weights,
+    field_stage,
     transition_probabilities,
+    transition_table,
 )
 
 C = DEFAULT_CONSTANTS
@@ -158,22 +157,33 @@ def test_stack_hermiticity_checks_every_matrix():
 
 def test_weights_and_bands_follow_the_labels():
     system = nv_system(102.4, theta_deg=0.2)
-    # labeled against a re-enumerated basis: same labels, same weights
+    # labeled against a re-enumerated basis: same labels, same weights and bands
     shuffled = tuple(reversed(product_basis_labels(0)))
     relabeled = label_states(EigenSystem(system.energies, system.vectors[::-1]), shuffled)
     assert relabeled.labels == system.labels
-    assert np.array_equal(state_weights(relabeled, 0.4, 0.7), state_weights(system, 0.4, 0.7))
+    for mode in ("hi", "lo", None):
+        got, want = field_stage(relabeled, mode), field_stage(system, mode)
+        for name in ("s_index", "i_index", "band"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, name)
+        got = transition_table(relabeled, 0.4, 0.7, mode=mode)
+        want = transition_table(system, 0.4, 0.7, mode=mode)
+        for name in ("i", "j", "freq_mhz"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, name)
+        # the reversed rows fold the dipole in another summation order
+        for name in ("probability", "intensity"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0)
     # labels replaced on a finished system: weights and bands read the new ones
     swapped = dataclasses.replace(system, labels=system.labels[::-1])
-    assert np.array_equal(state_weights(swapped, 0.4, 0.7), state_weights(system, 0.4, 0.7)[::-1])
-    p = transition_probabilities(dipole_elements(system))
-    full = intensity_matrix(p, system, 0.4, 0.7)
+    stage, moved_stage = field_stage(system), field_stage(swapped)
+    assert np.array_equal(moved_stage.s_index, stage.s_index[::-1])
+    assert np.array_equal(moved_stage.i_index, stage.i_index[::-1])
     for mode in ("hi", "lo"):
-        kept = select_rows(full, mode)
-        moved = select_rows(dataclasses.replace(full, labels=swapped.labels), mode)
+        kept = transition_table(system, 0.4, 0.7, mode=mode)
+        moved = transition_table(swapped, 0.4, 0.7, mode=mode)
         assert {row.label_to[0] == 1 for row in kept.rows} == {mode == "hi"}
+        assert {row.label_to[0] == 1 for row in moved.rows} <= {mode == "hi"}
         assert not np.array_equal(kept.i, moved.i) or not np.array_equal(kept.j, moved.j)
     for bad in ((2, 0), (0.5, 0)):
         wrong = EigenSystem(system.energies, system.vectors, labels=(bad,) + system.labels[1:])
         with pytest.raises(ValidationError):
-            state_weights(wrong, 0.4)
+            field_stage(wrong)

@@ -8,13 +8,12 @@ from nvgslac.errors import ValidationError
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, truncated_eigensystem
 from nvgslac.spin_core import EigenSystem, product_basis_labels
 from nvgslac.transitions import (
+    _weights,
     dipole_elements,
     field_stage,
     intensity_matrix,
     population_stage,
     populations,
-    select_rows,
-    state_weights,
     transition_probabilities,
     transition_table,
 )
@@ -144,15 +143,6 @@ def test_unmixed_state_selection_rule_exact():
             assert p[i, j] == 0.0
 
 
-def test_more_rows_near_gslac_than_far():
-    far = nv_table(95.0, population_mode="composition")
-    near = nv_table(102.4, population_mode="composition")
-    assert len(near.rows) > len(far.rows)
-    far_hi = nv_table(95.0, population_mode="composition", mode="hi")
-    near_hi = nv_table(102.4, population_mode="composition", mode="hi")
-    assert len(near_hi.rows) > len(far_hi.rows)
-
-
 def test_table_invariants():
     table = nv_table(102.4)
     for row in table.rows:
@@ -178,16 +168,13 @@ def test_rows_agree_with_arrays():
             assert row.i < row.j
 
 
-def test_state_weights_modes():
+def test_state_weights_sum_to_one_and_split_is_checked():
     system = nv_system(95.0)
-    w_nom = state_weights(system, beta=0.0)
+    stage = field_stage(system)
+    w_nom = _weights(stage.s_index, stage.i_index, 0, 0.0, 1.0)
     assert np.isclose(w_nom.sum(), 1.0)  # all manifold population in m_S = 0
-    w_comp = state_weights(system, beta=0.0, population_mode="composition")
-    assert np.isclose(w_comp.sum(), 1.0, atol=1e-9)
-    with pytest.raises(ValidationError):
-        state_weights(system, beta=0.0, manifold_split=1.5)
-    with pytest.raises(ValidationError):
-        state_weights(system, beta=0.0, population_mode="bogus")
+    with pytest.raises(ValidationError, match="manifold_split"):
+        transition_table(system, 0.0, manifold_split=1.5)
 
 
 def test_manifold_split_moves_weight():
@@ -198,13 +185,13 @@ def test_manifold_split_moves_weight():
 
 def test_select_rows_modes():
     table = nv_table(95.0)
-    hi = select_rows(table, "hi")
-    lo = select_rows(table, "lo")
+    hi = nv_table(95.0, mode="hi")
+    lo = nv_table(95.0, mode="lo")
     assert all(r.label_to[0] == 1 for r in hi.rows)
     assert all(r.label_from[0] != 1 and r.label_to[0] != 1 for r in lo.rows)
     assert len(hi.rows) + len(lo.rows) == len(table.rows)
     with pytest.raises(ValidationError):
-        select_rows(table, "mid")
+        nv_table(95.0, mode="mid")
 
 
 def test_floor_filters_weak_rows():
@@ -215,7 +202,7 @@ def test_floor_filters_weak_rows():
     assert len(tight.rows) < len(loose.rows)
 
 
-def _oracle_table(system, beta, split, population_mode, mode, b_mt):
+def _oracle_table(system, beta, split, mode):
     """The one-stage pipeline, spelled out: dipole fold, weights, floor over all pairs, band."""
     m = dipole_elements(system)
     p = (m * m.T).real
@@ -224,16 +211,9 @@ def _oracle_table(system, beta, split, population_mode, mode, b_mt):
     share = np.array([0.0, split, 1.0 - split])
     index = {1: 0, 0: 1, -1: 2}
     n_c13 = len(system.labels[0]) - 2
-
-    def basis_weight(labels):
-        s_index = np.array([index[label[0]] for label in labels])
-        i_index = np.array([index[label[1]] for label in labels])
-        return share[s_index] * pops[i_index] * 0.5 ** n_c13
-
-    if population_mode == "nominal":
-        weights = basis_weight(system.labels)
-    else:
-        weights = (np.abs(system.vectors) ** 2).T @ basis_weight(product_basis_labels(n_c13))
+    s_index = np.array([index[label[0]] for label in system.labels])
+    i_index = np.array([index[label[1]] for label in system.labels])
+    weights = share[s_index] * pops[i_index] * 0.5 ** n_c13
     iu, ju = np.triu_indices(system.dim, k=1)
     freq = system.energies[ju] - system.energies[iu]
     prob = p[iu, ju]
@@ -247,15 +227,13 @@ def _oracle_table(system, beta, split, population_mode, mode, b_mt):
     return i, j, freq, prob, intens
 
 
-def _assert_matches_oracle(system, beta, split, population_mode, mode):
-    expected = _oracle_table(system, beta, split, population_mode, mode, 102.4)
+def _assert_matches_oracle(system, beta, split):
     p = transition_probabilities(dipole_elements(system))
-    chained = select_rows(
-        intensity_matrix(p, system, beta, split, population_mode=population_mode, b_mt=102.4),
-        mode,
-    )
-    staged = transition_table(system, beta, split, population_mode, mode=mode, b_mt=102.4)
-    for table in (staged, chained):
+    tables = [(None, intensity_matrix(p, system, beta, split, b_mt=102.4))]
+    for mode in ("hi", "lo", None):
+        tables.append((mode, transition_table(system, beta, split, mode=mode, b_mt=102.4)))
+    for mode, table in tables:
+        expected = _oracle_table(system, beta, split, mode)
         got = (table.i, table.j, table.freq_mhz, table.probability, table.intensity)
         for name, a, b in zip(("i", "j", "freq_mhz", "probability", "intensity"), got, expected):
             assert np.array_equal(a, b), name
@@ -268,11 +246,9 @@ def _assert_matches_oracle(system, beta, split, population_mode, mode):
 @pytest.mark.parametrize("b", [101.0, 102.37, 102.4, 103.5])
 def test_two_stage_table_matches_one_stage_oracle(b, theta_deg):
     system = nv_system(b, theta_deg=theta_deg)
-    for mode in ("hi", "lo", None):
-        for split in (1.0, 0.6):
-            for beta in (-1.3, 0.0, 0.4, 2.0):
-                _assert_matches_oracle(system, beta, split, "nominal", mode)
-        _assert_matches_oracle(system, 0.7, 0.6, "composition", mode)
+    for split in (1.0, 0.6):
+        for beta in (-1.3, 0.0, 0.4, 2.0):
+            _assert_matches_oracle(system, beta, split)
 
 
 @pytest.mark.parametrize("n_c13", [1, 2, 3])
@@ -287,9 +263,8 @@ def test_two_stage_table_matches_oracle_with_carbon13(n_c13):
     placement = C13Placement(occupied=site_list(families)[::5][:n_c13])
     h = build_full_hamiltonian(base, placement, families, field, DEFAULT_CONSTANTS)
     system = eigensolve(h, product_basis_labels(n_c13))
-    for mode in ("hi", "lo", None):
-        _assert_matches_oracle(system, 0.4, 0.6, "nominal", mode)
-        _assert_matches_oracle(system, 0.4, 1.0, "composition", mode)
+    for beta, split in ((0.4, 0.6), (0.4, 1.0)):
+        _assert_matches_oracle(system, beta, split)
 
 
 def test_population_stage_reuses_one_field_stage():
