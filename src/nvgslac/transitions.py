@@ -7,11 +7,14 @@ parameter beta over the nitrogen projections,
 
     P(m_I) raw = exp(-m_I beta) / exp(-beta)  ->  (1, e^beta, e^{2 beta}),
 
-normalized before use.  A transition is weighted by the population of its
-lower-energy state: the normalized nitrogen weight of that state's nominal
-m_I, times the electron-manifold share (m_S = +1 states are empty; the
-m_S = 0 / -1 split is ``manifold_split``), times a uniform factor over any
-carbon-13 projections.
+normalized before use.  A level's population weight is the normalized
+nitrogen weight of its nominal m_I, times the electron-manifold share
+(m_S = +1 states are empty; the m_S = 0 / -1 split is ``manifold_split``),
+times a uniform factor over any carbon-13 projections.  A transition
+between levels i and j is weighted by the population difference: its
+intensity is p_ij |w_i - w_j|, so it does not jump when the two levels
+cross.  Left out: ODMR contrast also scales with the change in m_S = 0
+(bright-state) character between the two levels.
 
 A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
@@ -76,12 +79,12 @@ class TransitionRow:
 class TransitionTable:
     """Transitions above the intensity floor as parallel arrays, plus the level context.
 
-    Entry k connects level ``i[k]`` (the lower one, which supplies the
-    population weight) to level ``j[k]``, with ``i[k] < j[k]``, at
-    ``freq_mhz[k]``, with transition probability ``probability[k]`` and
-    population-weighted ``intensity[k]``.  ``energies`` and ``labels``
-    describe all levels of the eigen-system the entries were computed
-    from, so absent transitions can still be located.
+    Entry k connects level ``i[k]`` (the lower one) to level ``j[k]``,
+    with ``i[k] < j[k]``, at ``freq_mhz[k]``, with transition probability
+    ``probability[k]`` and ``intensity[k]``, the probability weighted by
+    the population difference of the two levels.  ``energies`` and
+    ``labels`` describe all levels of the eigen-system the entries were
+    computed from, so absent transitions can still be located.
     """
 
     i: np.ndarray
@@ -197,14 +200,14 @@ def population_stage(
 ) -> TransitionTable:
     """Weight a field stage's pairs and keep those above the floor and in its band.
 
-    The floor is ``floor_rel`` times the largest intensity over all
-    pairs, in or out of the band; the lower-energy level of each pair,
-    ``i``, supplies the population weight.
+    A pair's intensity is its probability times the population
+    difference of its two levels.  The floor is ``floor_rel`` times the
+    largest intensity over all pairs, in or out of the band.
     """
     system = stage.system
     n_c13 = len(system.labels[0]) - 2
     weights = _weights(stage.s_index, stage.i_index, n_c13, beta, manifold_split)
-    intens = stage.probability * weights[stage.i]
+    intens = stage.probability * np.abs(weights[stage.i] - weights[stage.j])
     keep = (intens > floor_rel * intens.max(initial=0.0)) & stage.band
     return TransitionTable(
         i=stage.i[keep],
@@ -228,9 +231,8 @@ def intensity_matrix(
 ) -> TransitionTable:
     """Population-weighted table over all bands, from a probability matrix ``p``.
 
-    A pair of levels is kept when its intensity exceeds ``floor_rel``
-    times the maximum intensity; the lower-energy level of each pair,
-    ``i``, supplies the population weight.
+    A pair of levels is kept when its intensity (probability times the
+    population difference) exceeds ``floor_rel`` times the maximum intensity.
     """
     return population_stage(
         _field_stage(system, p, None), beta, manifold_split, b_mt=b_mt, floor_rel=floor_rel

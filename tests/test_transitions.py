@@ -6,6 +6,7 @@ from conftest import nv_system, nv_table
 
 from nvgslac.errors import ValidationError
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, truncated_eigensystem
+from nvgslac.spectrum import track_transition
 from nvgslac.spin_core import EigenSystem, product_basis_labels
 from nvgslac.transitions import (
     _weights,
@@ -143,6 +144,13 @@ def test_unmixed_state_selection_rule_exact():
             assert p[i, j] == 0.0
 
 
+def test_more_rows_near_gslac_than_far():
+    for mode in (None, "lo"):
+        far = nv_table(95.0, mode=mode)
+        near = nv_table(102.4, mode=mode)
+        assert len(near.rows) > len(far.rows)
+
+
 def test_table_invariants():
     table = nv_table(102.4)
     for row in table.rows:
@@ -178,9 +186,30 @@ def test_state_weights_sum_to_one_and_split_is_checked():
 
 
 def test_manifold_split_moves_weight():
-    table_all0 = nv_table(102.4, manifold_split=1.0)
-    table_mix = nv_table(102.4, manifold_split=0.5)
-    assert len(table_mix.rows) > len(table_all0.rows)
+    # beta = ln 2: nitrogen weights 1/7, 2/7, 4/7 for m_I = +1, 0, -1
+    system = nv_system(102.4)
+    p = transition_probabilities(dipole_elements(system))
+    nitrogen = {1: 1 / 7, 0: 2 / 7, -1: 4 / 7}
+    for split, share in ((1.0, {1: 0.0, 0: 1.0, -1: 0.0}), (0.5, {1: 0.0, 0: 0.5, -1: 0.5})):
+        w = [share[m_s] * nitrogen[m_i] for m_s, m_i in system.labels]
+        table = nv_table(102.4, beta=math.log(2.0), manifold_split=split)
+        assert len(table) > 0
+        for row in table.rows:
+            expected = p[row.i, row.j] * abs(w[row.i] - w[row.j])
+            assert row.intensity == pytest.approx(expected, rel=1e-12)
+        if split == 0.5:  # equal weights in m_S = 0 and -1: those lines go dark
+            assert all(
+                {r.label_from[0], r.label_to[0]} != {0, -1} or r.label_from[1] != r.label_to[1]
+                for r in table.rows
+            )
+
+
+def test_lo_band_weight_is_continuous_through_the_crossing():
+    fields = np.arange(102.36, 102.38 + 1e-9, 0.002)
+    tables = [nv_table(b, beta=0.7, mode="lo") for b in fields]
+    weights = [intensity for _, _, intensity in track_transition(tables, (0, -1), (-1, -1))]
+    assert min(weights) > 0.5
+    assert np.max(np.abs(np.diff(weights))) < 0.01
 
 
 def test_select_rows_modes():
@@ -217,7 +246,7 @@ def _oracle_table(system, beta, split, mode):
     iu, ju = np.triu_indices(system.dim, k=1)
     freq = system.energies[ju] - system.energies[iu]
     prob = p[iu, ju]
-    intens = prob * weights[iu]
+    intens = prob * np.abs(weights[iu] - weights[ju])
     keep = (intens > 1e-6 * intens.max(initial=0.0)) & (freq > 0.0)
     i, j, freq, prob, intens = iu[keep], ju[keep], freq[keep], prob[keep], intens[keep]
     if mode is not None:
