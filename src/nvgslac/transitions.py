@@ -109,14 +109,6 @@ class TransitionTable:
         )
 
 
-def _projection_index(labels) -> np.ndarray:
-    """Arrays of 1 - m_S and 1 - m_I, read from the first two entries of each label."""
-    try:
-        return np.array([(_M_INDEX[label[0]], _M_INDEX[label[1]]) for label in labels]).T
-    except KeyError as exc:
-        raise ValidationError(f"label projection {exc.args[0]!r} is not +1, 0 or -1") from None
-
-
 def dipole_elements(system: EigenSystem) -> np.ndarray:
     """Electron (S+ + S-) operator in the eigenbasis (prefactor 1)."""
     if system.labels is None or not isinstance(system.labels[0], tuple):
@@ -172,7 +164,10 @@ def _field_stage(system: EigenSystem, p, mode: str | None) -> FieldStage:
     p = np.asarray(p)
     if p.shape != (system.dim, system.dim):
         raise ValidationError("probability matrix does not match the eigen-system dimension")
-    s_index, i_index = _projection_index(system.labels)
+    try:  # 1 - m_S and 1 - m_I, from the first two entries of each label
+        s_index, i_index = np.array([(_M_INDEX[m[0]], _M_INDEX[m[1]]) for m in system.labels]).T
+    except KeyError as exc:
+        raise ValidationError(f"label projection {exc.args[0]!r} is not +1, 0 or -1") from None
     energies = system.energies
     iu, ju = nv_spin_model().triu if system.dim == 9 else np.triu_indices(system.dim, k=1)
     freq = energies[ju] - energies[iu]  # ascending energies: j above i
