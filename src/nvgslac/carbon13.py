@@ -41,7 +41,7 @@ from .hamiltonian import (
     PhysicalConstants,
     build_nv_hamiltonian,
 )
-from .spectrum import SpectrumModel, synthesize
+from .spectrum import SpectrumModel, require_grid, synthesize
 from .spin_core import eigensolve, nv_spin_model, spin_matrices
 from .transitions import transition_table
 
@@ -258,20 +258,20 @@ def mc_average_spectrum(
     ``ResourceLimitError`` is raised before the first draw if
     ``cfg.iterations`` exceeds ``MAX_ITERATIONS``, and before any
     Hamiltonian is built if a draw has more than ``MAX_N_C13_DEFAULT``
-    sites.  Each distinct label sequence is solved once (see the module
-    docstring).  Returns the mean curve and its per-point standard error;
-    the same ``cfg`` gives the same result.  ``meta`` holds the settings,
-    the histogram of sites per draw (``n_c13_histogram[n]`` draws with n
-    sites), ``curves_computed`` (distinct sequences, the carbon-free one
-    included) and ``draws_reused`` (draws that reused a curve).
+    sites; a grid that is not nonempty, finite and 1-d is rejected before
+    the first draw.  Each distinct label sequence is solved once (see the
+    module docstring).  Returns the mean curve and its per-point standard
+    error; the same ``cfg`` gives the same result.  ``meta`` holds the
+    settings, the histogram of sites per draw (``n_c13_histogram[n]``
+    draws with n sites), ``curves_computed`` (distinct sequences, the
+    carbon-free one included) and ``draws_reused`` (draws that reused a
+    curve).
     """
     if cfg.iterations > MAX_ITERATIONS:
         raise ResourceLimitError(
             f"{cfg.iterations} Monte Carlo draws exceed the cap of {MAX_ITERATIONS}"
         )
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValidationError("frequency grid must be nonempty")
+    grid = require_grid(grid)
     if families is None:
         families = load_families(cfg.family_file)
     # The build reads only the family labels of a placement, in order (a

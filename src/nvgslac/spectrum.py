@@ -75,6 +75,16 @@ class MeasuredSpectrum:
         object.__setattr__(self, "values", values)
 
 
+def require_grid(grid) -> np.ndarray:
+    """The grid as a float array; raise unless it is nonempty, finite and 1-d."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValidationError(
+            f"frequency grid must be a nonempty, finite 1-d array, got shape {grid.shape}"
+        )
+    return grid
+
+
 def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     """One Lorentzian per table entry, common width, amplitude = intensity.
 
@@ -85,9 +95,7 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     """
     if not (width > 0 and math.isfinite(width)):
         raise ValidationError(f"linewidth must be positive and finite, got {width!r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValidationError("frequency grid must be nonempty")
+    grid = require_grid(grid)
     hwhm = float(width)
     centers = table.freq_mhz[:, None]
     amplitudes = table.intensity[:, None]

@@ -397,6 +397,26 @@ def test_mc_cap_checked_before_any_build(monkeypatch):
     assert f"largest: {max(over)} sites" in message
 
 
+def test_mc_grid_checked_before_the_first_draw(monkeypatch):
+    calls = []
+    real = carbon13.sample_placement
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(carbon13, "sample_placement", counting)
+    cfg = McConfig(iterations=3, occupancy=0.011, seed=0)
+    for grid in (None, np.array([]), np.zeros((2, 4)), np.array([0.0, np.nan])):
+        with pytest.raises(ValidationError, match="shape"):
+            mc_average_spectrum(cfg, FIELD, grid=grid, mode="lo")
+    with pytest.raises(ValidationError, match=r"shape \(\)"):
+        mc_average_spectrum(cfg, FIELD)
+    assert calls == []
+    mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")
+    assert len(calls) == 3
+
+
 def test_mc_standard_error_scaling():
     kwargs = dict(beta=0.0, width=1.0, grid=GRID, mode="lo")
     small = mc_average_spectrum(McConfig(iterations=100, occupancy=0.011, seed=11), FIELD, **kwargs)

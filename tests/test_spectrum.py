@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,8 +70,11 @@ def test_synthesize_rejects_bad_width_and_grid():
     for width in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValidationError, match=repr(width)):
             synthesize(table, width, np.linspace(0, 1, 5))
-    with pytest.raises(ValidationError):
-        synthesize(table, 1.0, np.array([]))
+    bad_grids = (np.array([]), None, np.zeros((2, 5)), np.array([0.0, np.nan, 1.0]), [np.inf])
+    for grid in bad_grids:
+        shape = np.shape(np.asarray(grid, dtype=float))
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}")):
+            synthesize(table, 1.0, grid)
 
 
 def random_peak_table(n, grid):
