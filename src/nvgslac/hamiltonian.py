@@ -45,6 +45,7 @@ The mixing parameter of the 5/6 pair is exposed with a switch,
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,13 +54,16 @@ from .errors import ParseError, ValidationError
 from .spin_core import (
     EigenSystem,
     _greedy_bijection,
+    eigensolve_stack,
     label_states,
     nv_spin_model,
     product_basis_labels,
-    require_hermitian,
 )
+from .transitions import fold_stages
 
 KAPPA2_SIGNS = ("minus", "plus")
+# Most fields one (n, 9, 9) stack holds: about 1.3 MB per complex array.
+SOLVE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,11 @@ def parse_constants_file(path) -> PhysicalConstants:
     return replace(DEFAULT_CONSTANTS, **overrides)
 
 
+def _valid_magnitude(b):
+    """The field-magnitude rule of ``FieldConfig``, elementwise: finite and >= 0 mT."""
+    return np.isfinite(b) & (b >= 0)
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Static field: magnitude (mT) and orientation relative to the NV axis."""
@@ -136,7 +145,7 @@ class FieldConfig:
     phi_deg: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.b) or self.b < 0:
+        if not _valid_magnitude(self.b):
             raise ValidationError(f"field magnitude must be >= 0, got {self.b!r}")
         if not 0.0 <= self.theta_deg < 180.0:
             raise ValidationError(f"theta must lie in [0, 180), got {self.theta_deg!r}")
@@ -171,6 +180,21 @@ def basis_index(ms: int, mi: int) -> int:
 NV_N14_LABELS = product_basis_labels(0)
 
 
+def _hamiltonian(constants: PhysicalConstants, b, direction) -> np.ndarray:
+    """H at field magnitude ``b`` (mT) along a unit direction; a ``b`` of shape (n, 1, 1) stacks."""
+    m = nv_spin_model()
+    nx, ny, nz = direction
+    c = constants
+    return (
+        c.d_g * m.sz2
+        + c.gamma_e * b * (nx * m.sx + ny * m.sy + nz * m.sz)
+        + c.q * m.iz2
+        - c.gamma_n14 * b * (nx * m.ix + ny * m.iy + nz * m.iz)
+        + c.a_perp * m.flip_flop
+        + c.a_par * m.szi
+    )
+
+
 def build_nv_hamiltonian(
     constants: PhysicalConstants, field_cfg: FieldConfig
 ) -> np.ndarray:
@@ -179,21 +203,36 @@ def build_nv_hamiltonian(
     H is a weighted sum of the operators of ``nv_spin_model()``, built once
     per process, so a call only scales and adds 9x9 arrays.  The terms keep
     the order and grouping of an explicit ``embed``/``kron`` build, which
-    gives the same bits.
+    gives the same bits.  :func:`field_stages` builds a stack from the same
+    expression, with the field magnitude broadcast over it.
     """
-    m = nv_spin_model()
-    nx, ny, nz = field_cfg.direction()
-    b = field_cfg.b
-    c = constants
-    h = (
-        c.d_g * m.sz2
-        + c.gamma_e * b * (nx * m.sx + ny * m.sy + nz * m.sz)
-        + c.q * m.iz2
-        - c.gamma_n14 * b * (nx * m.ix + ny * m.iy + nz * m.iz)
-        + c.a_perp * m.flip_flop
-        + c.a_par * m.szi
+    return _hamiltonian(constants, field_cfg.b, field_cfg.direction())
+
+
+def field_stages(
+    constants: PhysicalConstants,
+    fields,
+    theta_deg: float = 0.0,
+    phi_deg: float = 0.0,
+    mode: str | None = None,
+):
+    """Iterator over the field stages (see ``transitions``) of a field sweep, one per field.
+
+    Every field and both angles are checked as ``FieldConfig`` checks them
+    before any work, the first field first as a per-field loop would.  The
+    sweep is then built, checked, solved, labeled and folded in (n, 9, 9)
+    stacks of at most ``SOLVE_CHUNK`` fields, each made when the iterator
+    reaches it.  Every stage has the bits of the one-field path.
+    """
+    b = np.asarray(fields, dtype=float)
+    direction = FieldConfig(fields[0] if b.size else 0.0, theta_deg, phi_deg).direction()
+    if not _valid_magnitude(b).all():
+        FieldConfig(fields[np.flatnonzero(~_valid_magnitude(b))[0]], theta_deg, phi_deg)
+    chunks = (b[k : k + SOLVE_CHUNK, None, None] for k in range(0, b.size, SOLVE_CHUNK))
+    return itertools.chain.from_iterable(
+        fold_stages(eigensolve_stack(_hamiltonian(constants, chunk, direction)), mode)
+        for chunk in chunks
     )
-    return h
 
 
 def truncated_hamiltonian(constants: PhysicalConstants, b: float) -> np.ndarray:
@@ -348,31 +387,18 @@ def level_sweep(
 ) -> list:
     """Eigen-systems over a field range with labels tracked continuously.
 
-    All fields are solved with one stacked (n, 9, 9) ``eigh``, after a
-    Hermiticity check of every matrix; each matrix of the stack gives the
-    same bits as its own ``eigh``.  The first point is labeled by basis
-    overlap; each further point inherits labels from its predecessor
-    through greedy eigenvector overlap matching, so a label follows one
-    adiabatic branch through anticrossings.
+    The fields are solved by :func:`field_stages`, which labels each by
+    basis overlap; each point after the first then inherits labels from
+    its predecessor through greedy eigenvector overlap matching, so a
+    label follows one adiabatic branch through anticrossings.
     """
     fields = [float(b) for b in fields]
     if not fields:
         raise ValidationError("field range must be nonempty")
-    hs = np.stack([
-        build_nv_hamiltonian(constants, FieldConfig(b=b, theta_deg=theta_deg, phi_deg=phi_deg))
-        for b in fields
-    ])
-    require_hermitian(hs)
-    systems = []
-    prev = None
-    for energies, vectors in zip(*np.linalg.eigh(hs)):
-        if prev is None:
-            system = label_states(EigenSystem(energies, vectors), NV_N14_LABELS)
-        else:
-            overlap = np.abs(prev.vectors.conj().T @ vectors) ** 2  # [prev_k, k]
-            assign = _greedy_bijection(overlap.T)  # new k -> prev k
-            labels = tuple(prev.labels[assign[k]] for k in range(9))
-            system = EigenSystem(energies=energies, vectors=vectors, labels=labels)
-        systems.append(system)
-        prev = system
+    systems = [stage.system for stage in field_stages(constants, fields, theta_deg, phi_deg)]
+    for k in range(1, len(systems)):
+        prev = systems[k - 1]
+        overlap = np.abs(prev.vectors.conj().T @ systems[k].vectors) ** 2  # [prev_k, k]
+        assign = _greedy_bijection(overlap.T)  # new k -> prev k
+        systems[k] = replace(systems[k], labels=tuple(prev.labels[a] for a in assign))
     return systems

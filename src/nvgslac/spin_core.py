@@ -6,13 +6,18 @@ Conventions used throughout the package:
 * composite systems are Kronecker products in the fixed subsystem order
   (electron, host nitrogen, carbon-13 site 1, carbon-13 site 2, ...),
 * energies and frequencies are in MHz, magnetic fields in mT.
+
+Eigensolving is stacked (:func:`eigensolve` is the n = 1 case).  Each
+eigenvector takes the basis label of its largest squared overlap, an argmax
+over the stack; where that argmax is not a permutation (at level crossings)
+the greedy bijection decides, which equals the argmax wherever it is one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,31 +217,53 @@ def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     return np.array(assign)
 
 
+def _labeled(energies: np.ndarray, vectors: np.ndarray, basis_labels) -> list:
+    """Eigen-systems of a stack, each vector labeled by the basis state of largest squared overlap.
+
+    That is the argmax (lowest index on a tie) where it is a permutation, else
+    the greedy bijection; the two agree wherever the argmax is a permutation.
+    """
+    basis_labels = tuple(basis_labels)
+    dim = vectors.shape[-1]
+    if len(basis_labels) != dim:
+        raise ValidationError("number of basis labels must equal the system dimension")
+    overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
+    assign = [
+        tuple(row) if len(set(row)) == dim  # else near a level crossing
+        else tuple(_greedy_bijection(overlap[k].T).tolist())
+        for k, row in enumerate(overlap.argmax(axis=-2).tolist())
+    ]
+    return [
+        EigenSystem(e, v, tuple(basis_labels[a] for a in row))
+        for e, v, row in zip(energies, vectors, assign)
+    ]
+
+
 def label_states(system: EigenSystem, basis_labels) -> EigenSystem:
     """Attach to each eigenvector the basis label of maximum squared overlap.
 
     The assignment is a bijection: overlaps are visited in descending
     order and a label is used at most once.
     """
-    basis_labels = tuple(basis_labels)
-    if len(basis_labels) != system.dim:
-        raise ValidationError("number of basis labels must equal the system dimension")
-    overlap = np.abs(system.vectors) ** 2  # overlap[b, k]
-    assign = _greedy_bijection(overlap.T)  # eigenvector k -> basis index
-    labels = tuple(basis_labels[assign[k]] for k in range(system.dim))
-    return replace(system, labels=labels)
+    return _labeled(system.energies[None], system.vectors[None], basis_labels)[0]
+
+
+def eigensolve_stack(hs: np.ndarray, basis_labels=None) -> list:
+    """Diagonalize and label a stack (n, d, d) of Hermitian matrices: one check, one ``eigh``.
+
+    Each matrix gets the bits of its own ``eigh`` and the labels of :func:`label_states`.
+    """
+    hs = np.asarray(hs, dtype=complex)
+    require_hermitian(hs)
+    if basis_labels is None:
+        basis_labels = default_basis_labels(hs.shape[-1])
+    return _labeled(*np.linalg.eigh(hs), basis_labels)
 
 
 def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:
     """Diagonalize a Hermitian matrix and label the eigenvectors.
 
     Eigenvalues are returned in ascending order with orthonormal
-    eigenvector columns (LAPACK ``eigh``).
+    eigenvector columns (LAPACK ``eigh``), as by :func:`eigensolve_stack`.
     """
-    h = np.asarray(h, dtype=complex)
-    require_hermitian(h)
-    energies, vectors = np.linalg.eigh(h)
-    system = EigenSystem(energies=energies, vectors=vectors)
-    if basis_labels is None:
-        basis_labels = default_basis_labels(h.shape[0])
-    return label_states(system, basis_labels)
+    return eigensolve_stack(np.asarray(h)[None], basis_labels)[0]

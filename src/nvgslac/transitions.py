@@ -20,7 +20,11 @@ A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
 the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
 the transition probabilities and the band mask, and the m_S / m_I index
-of every level, read from its label.  The population stage,
+of every level, read from its label; :func:`fold_stages` does this for a
+stack of eigen-systems with one fold v^H D v.  ``hamiltonian.field_stages``
+feeds it a field sweep solved as (n, 9, 9) stacks, whose levels carry the
+argmax labels, or the greedy bijection's where the argmax is not a
+permutation (see ``spin_core``).  The population stage,
 :func:`population_stage`, runs once per (beta, manifold split): it
 weights the pairs, applies the intensity floor over all pairs and then
 the band mask.  A fit at a fixed field repeats only the second stage.
@@ -109,25 +113,30 @@ class TransitionTable:
         )
 
 
-def dipole_elements(system: EigenSystem) -> np.ndarray:
-    """Electron (S+ + S-) operator in the eigenbasis (prefactor 1)."""
-    if system.labels is None or not isinstance(system.labels[0], tuple):
+def _fold_dipole(vectors: np.ndarray, labels) -> np.ndarray:
+    """Electron (S+ + S-) operator folded into a stack (n, d, d) of eigenbases, v^H D v."""
+    if labels is None or not isinstance(labels[0], tuple):
         raise ValidationError("eigen-system must carry product-basis labels")
-    n_c13 = len(system.labels[0]) - 2
-    if 9 * 2 ** n_c13 != system.dim:
+    n_c13 = len(labels[0]) - 2
+    if 9 * 2 ** n_c13 != vectors.shape[-1]:
         raise ValidationError("label structure does not match system dimension")
     dip = nv_spin_model().dipole
     if n_c13:  # identity on the carbon-13 slots; not cached, it grows as 4**N
         dip = np.kron(dip, np.eye(2 ** n_c13))
-    return system.vectors.conj().T @ dip @ system.vectors
+    return vectors.conj().swapaxes(-1, -2) @ dip @ vectors
+
+
+def dipole_elements(system: EigenSystem) -> np.ndarray:
+    """Electron (S+ + S-) operator in the eigenbasis (prefactor 1)."""
+    return _fold_dipole(system.vectors[None], system.labels)[0]
 
 
 def transition_probabilities(m: np.ndarray) -> np.ndarray:
-    """Elementwise p[i, j] = m[i, j] * m[j, i]; equals |m[i, j]|^2 for Hermitian m."""
+    """Elementwise p[i, j] = m[i, j] * m[j, i], of m or of each matrix of a stack m[n, i, j]."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValidationError("dipole element matrix must be square")
-    return (m * m.T).real
+    return (m * m.swapaxes(-1, -2)).real
 
 
 def _weights(s_index, i_index, n_c13: int, beta: float, manifold_split: float) -> np.ndarray:
@@ -160,30 +169,53 @@ class FieldStage:
     i_index: np.ndarray
 
 
-def _field_stage(system: EigenSystem, p, mode: str | None) -> FieldStage:
-    p = np.asarray(p)
-    if p.shape != (system.dim, system.dim):
-        raise ValidationError("probability matrix does not match the eigen-system dimension")
-    try:  # 1 - m_S and 1 - m_I, from the first two entries of each label
-        s_index, i_index = np.array([(_M_INDEX[m[0]], _M_INDEX[m[1]]) for m in system.labels]).T
+def _level_index(labels, iu, ju, mode: str | None) -> tuple:
+    """(1 - m_S, 1 - m_I) of each level, read from its label, and the pairs ``mode`` admits."""
+    try:  # from the first two entries of each label
+        s_index, i_index = np.array([(_M_INDEX[m[0]], _M_INDEX[m[1]]) for m in labels]).T
     except KeyError as exc:
         raise ValidationError(f"label projection {exc.args[0]!r} is not +1, 0 or -1") from None
-    energies = system.energies
-    iu, ju = nv_spin_model().triu if system.dim == 9 else np.triu_indices(system.dim, k=1)
-    freq = energies[ju] - energies[iu]  # ascending energies: j above i
-    band = freq > 0.0
-    if mode is not None:
-        if mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-        # hi: lower level in m_S {0, -1}, upper in m_S = +1; lo: both in {0, -1}
-        m_s = 1 - s_index
-        band &= (m_s[ju] == 1 if mode == "hi" else m_s[ju] != 1) & (m_s[iu] != 1)
-    return FieldStage(system, iu, ju, freq, p[iu, ju], band, s_index, i_index)
+    if mode is None:
+        return s_index, i_index, np.full(iu.size, True)
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    # hi: lower level in m_S {0, -1}, upper in m_S = +1; lo: both in {0, -1}
+    m_s = 1 - s_index
+    return s_index, i_index, (m_s[ju] == 1 if mode == "hi" else m_s[ju] != 1) & (m_s[iu] != 1)
+
+
+def _field_stages(systems, p, mode: str | None) -> list:
+    """Field stages of eigen-systems of one dimension, from their probabilities p[n, i, j].
+
+    The levels are indexed once per distinct label order.
+    """
+    p = np.asarray(p)
+    dim = systems[0].dim
+    if p.shape != (len(systems), dim, dim):
+        raise ValidationError("probability matrix does not match the eigen-system dimension")
+    iu, ju = nv_spin_model().triu if dim == 9 else np.triu_indices(dim, k=1)
+    energies = np.array([system.energies for system in systems])
+    freq = energies[:, ju] - energies[:, iu]  # ascending energies: j above i
+    indexed = {labels: _level_index(labels, iu, ju, mode) for labels in {s.labels for s in systems}}
+    levels = [indexed[system.labels] for system in systems]
+    band = (freq > 0.0) & np.array([in_band for _, _, in_band in levels])
+    rows = zip(systems, freq, p[:, iu, ju], band, levels)
+    return [
+        FieldStage(system, iu, ju, f, pk, bk, s_index, i_index)
+        for system, f, pk, bk, (s_index, i_index, _) in rows
+    ]
+
+
+def fold_stages(systems, mode: str | None = None) -> list:
+    """The field stage of each eigen-system, all of one dimension, from one stacked dipole fold."""
+    folded = _fold_dipole(np.array([s.vectors for s in systems]), systems[0].labels)
+    return _field_stages(systems, transition_probabilities(folded), mode)
 
 
 def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
     """Fold the dipole operator and index the level pairs once per eigen-system and band."""
-    return _field_stage(system, transition_probabilities(dipole_elements(system)), mode)
+    p = transition_probabilities(dipole_elements(system))
+    return _field_stages([system], p[None], mode)[0]
 
 
 def population_stage(
@@ -229,9 +261,8 @@ def intensity_matrix(
     A pair of levels is kept when its intensity (probability times the
     population difference) exceeds ``floor_rel`` times the maximum intensity.
     """
-    return population_stage(
-        _field_stage(system, p, None), beta, manifold_split, b_mt=b_mt, floor_rel=floor_rel
-    )
+    stage = _field_stages([system], np.asarray(p)[None], None)[0]
+    return population_stage(stage, beta, manifold_split, b_mt=b_mt, floor_rel=floor_rel)
 
 
 def transition_table(

@@ -8,8 +8,18 @@ from nvgslac import carbon13, fitting
 from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
 from nvgslac.cli import MAX_SWEEP_FIELDS, main
 from nvgslac.fitting import FitParams, model_spectrum
-from nvgslac.hamiltonian import DEFAULT_CONSTANTS
-from nvgslac.spectrum import MeasuredSpectrum, read_spectrum_csv, write_spectrum_csv
+from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
+from nvgslac.spectrum import (
+    MeasuredSpectrum,
+    frequency_grid,
+    read_spectrum_csv,
+    spectrum_to_csv,
+    synthesize,
+    transitions_to_csv,
+    write_spectrum_csv,
+)
+from nvgslac.spin_core import eigensolve
+from nvgslac.transitions import transition_table
 
 C = DEFAULT_CONSTANTS
 
@@ -89,6 +99,35 @@ def test_simulate_sweep_writes_per_field_files(tmp_path):
     assert code == 0
     files = {p.name for p in out.glob("spectrum_hi_b*.csv")}
     assert files == {"spectrum_hi_b101.csv", "spectrum_hi_b101.5.csv", "spectrum_hi_b102.csv"}
+
+
+@pytest.mark.parametrize("mode, grid", [("hi", (5680.0, 5800.0, 0.2)), ("lo", (0.0, 60.0, 0.1))])
+def test_simulate_sweep_matches_a_per_field_loop(tmp_path, mode, grid):
+    start, step, theta, beta, width = 101.0, 2.5 / 80, 0.3, 0.7, 1.2
+    args = ["simulate", "--b-start", repr(start), "--b-stop", repr(start + 79.5 * step)]
+    args += ["--b-step", repr(step), "--theta-deg", repr(theta), "--beta", repr(beta)]
+    args += ["--width-mhz", repr(width), "--mode", mode, "--grid", "%r:%r:%r" % grid]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    tables = []
+    for b in [start + k * step for k in range(80)]:
+        system = eigensolve(build_nv_hamiltonian(C, FieldConfig(b=b, theta_deg=theta)))
+        tables.append(transition_table(system, beta, mode=mode, b_mt=b))
+        meta = {"b_mt": b, "beta": beta, "width_mhz": width, "theta_deg": theta, "mode": mode}
+        spectrum = spectrum_to_csv(synthesize(tables[-1], width, frequency_grid(*grid)), meta)
+        assert (tmp_path / f"spectrum_{mode}_b{b:.6g}.csv").read_text() == spectrum
+    assert (tmp_path / f"transitions_{mode}.csv").read_text() == transitions_to_csv(tables)
+    assert len(list(tmp_path.glob("spectrum_*.csv"))) == 80
+
+
+def test_simulate_negative_sweep_field_runs_no_eigh(tmp_path, capsys, monkeypatch):
+    def no_eigh(a):
+        raise AssertionError("eigh ran before the fields were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    args = ["simulate", "--b-start", "-0.5", "--b-stop", "0.5", "--b-step", "0.25"]
+    assert run(args + ["--grid", "0:60:0.1", "--out", str(tmp_path / "sim")]) == 2
+    assert "field magnitude must be >= 0, got -0.5" in capsys.readouterr().err
+    assert not list((tmp_path / "sim").glob("*.csv"))
 
 
 def test_simulate_zero_step_is_validation_error(tmp_path, capsys):
@@ -301,6 +340,7 @@ def test_fit_bad_start_rejected_before_any_evaluation(
         raise AssertionError("a model was evaluated")
 
     monkeypatch.setattr(fitting, "build_nv_hamiltonian", no_build)
+    monkeypatch.setattr(fitting, "field_stages", no_build)
     code = run(["fit", str(fit_input), f"{flag}={value}", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert value in capsys.readouterr().err

@@ -315,6 +315,29 @@ def test_transitions_csv_layout():
     assert '"|0,+1>"' in text and '"|+1,+1>"' in text
 
 
+def test_transitions_csv_formats_each_label_once_per_call(monkeypatch):
+    from nvgslac import spin_core
+
+    tables = [nv_table(b, mode=None) for b in np.linspace(101.0, 103.5, 40)]
+    expected = "".join(
+        f"{spectrum.NUMBER_FORMAT % t.b_mt},{spectrum.NUMBER_FORMAT % f},"
+        f"{spectrum.NUMBER_FORMAT % a},{spin_core.format_label(t.labels[i])},"
+        f"{spin_core.format_label(t.labels[j])}\n"
+        for t in tables
+        for i, j, f, a in zip(t.i, t.j, t.freq_mhz, t.intensity)
+    )
+    calls = []
+    format_label = spin_core.format_label
+    monkeypatch.setattr(
+        spin_core, "format_label", lambda label: calls.append(label) or format_label(label)
+    )
+    text = transitions_to_csv(tables)
+    assert text.replace('"', "").split("\n", 1)[1] == expected
+    assert sorted(calls) == sorted(product_basis_labels(0))  # nine labels, each formatted once
+    transitions_to_csv(tables[:1])
+    assert len(calls) == 18  # nothing is kept between calls
+
+
 def test_frequency_grid_validation():
     grid = frequency_grid(0.0, 1.0, 0.25)
     assert np.allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -14,9 +14,12 @@ from nvgslac.errors import ValidationError
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
+    NV_N14_LABELS,
+    SOLVE_CHUNK,
     FieldConfig,
     PhysicalConstants,
     build_nv_hamiltonian,
+    field_stages,
     level_sweep,
 )
 from nvgslac.spin_core import (
@@ -187,3 +190,64 @@ def test_weights_and_bands_follow_the_labels():
         wrong = EigenSystem(system.energies, system.vectors, labels=(bad,) + system.labels[1:])
         with pytest.raises(ValidationError):
             field_stage(wrong)
+
+
+def test_stacked_labels_equal_the_greedy_bijection_on_every_system(monkeypatch):
+    fallbacks = []
+    greedy = spin_core._greedy_bijection
+
+    def counting_greedy(weight):
+        fallbacks.append(weight.shape)
+        return greedy(weight)
+
+    fields = 100.0 + 1e-3 * np.arange(5001)  # 100-105 mT in 1 uT steps
+    for theta in (0.0, 0.3, 2.0):
+        monkeypatch.setattr(spin_core, "_greedy_bijection", counting_greedy)
+        systems = [stage.system for stage in field_stages(C, fields, theta)]
+        monkeypatch.setattr(spin_core, "_greedy_bijection", greedy)
+        for system in systems:
+            assign = greedy((np.abs(system.vectors) ** 2).T)
+            assert system.labels == tuple(NV_N14_LABELS[a] for a in assign)
+    assert fallbacks  # argmax is not a permutation at some level crossings
+
+
+@pytest.mark.parametrize("mode", ["hi", "lo", None])
+def test_stack_across_a_chunk_boundary_is_bit_equal_to_single_solves(monkeypatch, mode):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    fields = np.linspace(101.5, 103.5, SOLVE_CHUNK + 5)
+    stages = list(field_stages(C, fields, 0.3, mode=mode))
+    assert shapes == [(SOLVE_CHUNK, 9, 9), (5, 9, 9)]
+    assert len(stages) == len(fields)
+    for b, stage in zip(fields, stages):
+        h = build_nv_hamiltonian(C, FieldConfig(b=b, theta_deg=0.3))
+        single = field_stage(eigensolve(h), mode)
+        assert stage.system.labels == single.system.labels
+        for name in ("energies", "vectors"):
+            assert getattr(stage.system, name).tobytes() == getattr(single.system, name).tobytes()
+        for name in ("i", "j", "freq_mhz", "probability", "band", "s_index", "i_index"):
+            assert getattr(stage, name).tobytes() == getattr(single, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "fields, theta, named",
+    [
+        ([101.0, 102.0, -1.0, 103.0], 0.0, "-1.0"),
+        ([101.0, float("nan"), 103.0], 0.3, "nan"),
+        ([101.0, 102.0, float("inf")], 0.3, "inf"),
+        ([101.0, -2.0], 200.0, "200.0"),  # the first field's angle is checked first
+    ],
+)
+def test_invalid_field_is_rejected_before_any_eigh(monkeypatch, fields, theta, named):
+    def no_eigh(a):
+        raise AssertionError("eigh ran before the fields were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValidationError, match=named):
+        field_stages(C, fields, theta)  # the call checks; no stage is asked for
