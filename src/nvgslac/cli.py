@@ -33,7 +33,7 @@ from .hamiltonian import (
     CONSTANT_UNITS,
     DEFAULT_CONSTANTS,
     FieldConfig,
-    field_stages,
+    build_nv_hamiltonian,
     parse_constants_file,
 )
 from .spectrum import (
@@ -43,7 +43,8 @@ from .spectrum import (
     synthesize,
     transitions_to_csv,
 )
-from .transitions import population_stage
+from .spin_core import eigensolve
+from .transitions import field_stages, population_stage, transition_table
 
 # Most fields one simulate sweep may cover; each writes one spectrum file.
 MAX_SWEEP_FIELDS = 100_000
@@ -188,8 +189,8 @@ def cmd_mc13(args) -> int:
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
     # Carbon-13 satellites sit up to about the largest principal hyperfine
     # value away from the carbon-free lines.
-    (stage,) = field_stages(constants, [args.b_mt], args.theta_deg, mode=args.mode)
-    table = population_stage(stage, args.beta, b_mt=args.b_mt)
+    base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
+    table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
     families = load_families(cfg.family_file)  # once: parsing warns about custom sets
     shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
     _check_grid_covers(grid, [table], 20.0 * args.width_mhz + shift, args.mode)

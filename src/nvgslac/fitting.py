@@ -43,7 +43,6 @@ from .hamiltonian import (
     FieldConfig,
     PhysicalConstants,
     build_nv_hamiltonian,
-    field_stages,
     gslac_field,
 )
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
@@ -197,15 +196,6 @@ class _FieldStages:
             self.stages[key] = stage
         return stage
 
-    def fill(self, fields, theta_deg: float) -> None:
-        """Solve ``fields`` at ``theta_deg`` as one stack; keep the stages there is room for."""
-        try:
-            stages = field_stages(self.constants, fields, theta_deg, mode=self.mode)
-        except ValidationError:  # each field is then solved, or rejected, when asked for
-            return
-        room = FIELD_CACHE_SIZE - len(self.stages)
-        self.stages.update(zip([(b, theta_deg) for b in fields[:room]], stages))
-
 
 DEFAULT_BOUNDS = {
     "beta": (-5.0, 5.0),
@@ -249,12 +239,13 @@ def fit_spectrum(
     two per free parameter, are not counted.
 
     Only beta, the width and the manifold split change between most
-    evaluations, so the call keeps the field stage (see ``transitions``)
-    of each clipped (B, theta) it meets, the scan's fields solved as one
-    stack, and redoes only the population stage and the synthesis when a
-    field comes back.  At most ``FIELD_CACHE_SIZE`` (1,024) stages are
-    kept, the oldest dropped first, none beyond the call.  The reported
-    table and model, and the curvature probes, use the same stages.
+    evaluations, so the call keeps the field stage (H build, eigensolve,
+    dipole fold and pair indexing; see ``transitions``) of each clipped
+    (B, theta) it meets and redoes only the population stage and the
+    synthesis when a field comes back.  At most ``FIELD_CACHE_SIZE``
+    (1,024) field stages are kept, the oldest dropped first, and none
+    outlives the call.  The reported table and model are those of the
+    best evaluation; the curvature probes use the same field stages.
 
     Every start value must be finite, and the start field and angle must
     make a valid ``FieldConfig``; otherwise ``ValidationError`` is raised
@@ -281,7 +272,7 @@ def fit_spectrum(
 
     eval_count = 0
     best = {"chi2": math.inf, "x": None}
-    stage_cache = _FieldStages(mode, constants)
+    field_stages = _FieldStages(mode, constants)
 
     def unpack(x) -> FitParams:
         values = dict(zip(names, x))
@@ -305,7 +296,7 @@ def fit_spectrum(
             clipped.append(c)
         params = unpack(clipped)
         try:
-            table = _weigh(stage_cache(params), params)
+            table = _weigh(field_stages(params), params)
             model = synthesize(table, params.width, data.grid)
         except ValidationError:
             return 1e30, None, 0.0, None, None
@@ -354,9 +345,6 @@ def fit_spectrum(
         b_lo, b_hi = bounds["b"]
         n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
         b_starts = np.linspace(b_lo, b_hi, n_scan)
-    # The fields the budget scores, solved as one stack; they lie within the
-    # bounds, so clipping keeps them and they are the keys the scan looks up.
-    stage_cache.fill(list(b_starts[:max_evaluations]), initial.theta_deg)
     scan = sorted(
         score([start_vector(initial.beta, initial.width, b0) for b0 in b_starts]),
         key=itemgetter(0),

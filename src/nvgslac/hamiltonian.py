@@ -45,8 +45,7 @@ The mixing parameter of the 5/6 pair is exposed with a switch,
 from __future__ import annotations
 
 import hashlib
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from .spin_core import (
     nv_spin_model,
     product_basis_labels,
 )
-from .transitions import fold_stages
 
 KAPPA2_SIGNS = ("minus", "plus")
 # Most fields one (n, 9, 9) stack holds: about 1.3 MB per complex array.
@@ -203,35 +201,30 @@ def build_nv_hamiltonian(
     H is a weighted sum of the operators of ``nv_spin_model()``, built once
     per process, so a call only scales and adds 9x9 arrays.  The terms keep
     the order and grouping of an explicit ``embed``/``kron`` build, which
-    gives the same bits.  :func:`field_stages` builds a stack from the same
+    gives the same bits.  :func:`solve_fields` builds a stack from the same
     expression, with the field magnitude broadcast over it.
     """
     return _hamiltonian(constants, field_cfg.b, field_cfg.direction())
 
 
-def field_stages(
-    constants: PhysicalConstants,
-    fields,
-    theta_deg: float = 0.0,
-    phi_deg: float = 0.0,
-    mode: str | None = None,
+def solve_fields(
+    constants: PhysicalConstants, fields, theta_deg: float = 0.0, phi_deg: float = 0.0
 ):
-    """Iterator over the field stages (see ``transitions``) of a field sweep, one per field.
+    """Iterator over the eigen-systems of a field sweep, one list per stack of fields.
 
     Every field and both angles are checked as ``FieldConfig`` checks them
     before any work, the first field first as a per-field loop would.  The
-    sweep is then built, checked, solved, labeled and folded in (n, 9, 9)
-    stacks of at most ``SOLVE_CHUNK`` fields, each made when the iterator
-    reaches it.  Every stage has the bits of the one-field path.
+    sweep is then built, checked, solved and labeled (see ``spin_core``) in
+    (n, 9, 9) stacks of at most ``SOLVE_CHUNK`` fields, each made when the
+    iterator reaches it.  Every system has the bits of the one-field path.
     """
     b = np.asarray(fields, dtype=float)
     direction = FieldConfig(fields[0] if b.size else 0.0, theta_deg, phi_deg).direction()
     if not _valid_magnitude(b).all():
         FieldConfig(fields[np.flatnonzero(~_valid_magnitude(b))[0]], theta_deg, phi_deg)
-    chunks = (b[k : k + SOLVE_CHUNK, None, None] for k in range(0, b.size, SOLVE_CHUNK))
-    return itertools.chain.from_iterable(
-        fold_stages(eigensolve_stack(_hamiltonian(constants, chunk, direction)), mode)
-        for chunk in chunks
+    return (
+        eigensolve_stack(_hamiltonian(constants, b[k : k + SOLVE_CHUNK, None, None], direction))
+        for k in range(0, b.size, SOLVE_CHUNK)
     )
 
 
@@ -387,7 +380,7 @@ def level_sweep(
 ) -> list:
     """Eigen-systems over a field range with labels tracked continuously.
 
-    The fields are solved by :func:`field_stages`, which labels each by
+    The fields are solved by :func:`solve_fields`, which labels each by
     basis overlap; each point after the first then inherits labels from
     its predecessor through greedy eigenvector overlap matching, so a
     label follows one adiabatic branch through anticrossings.
@@ -395,7 +388,7 @@ def level_sweep(
     fields = [float(b) for b in fields]
     if not fields:
         raise ValidationError("field range must be nonempty")
-    systems = [stage.system for stage in field_stages(constants, fields, theta_deg, phi_deg)]
+    systems = [s for chunk in solve_fields(constants, fields, theta_deg, phi_deg) for s in chunk]
     for k in range(1, len(systems)):
         prev = systems[k - 1]
         overlap = np.abs(prev.vectors.conj().T @ systems[k].vectors) ** 2  # [prev_k, k]

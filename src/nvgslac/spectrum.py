@@ -244,7 +244,9 @@ def transitions_to_csv(tables) -> str:
     names = {}  # each distinct label is formatted once per call
     for table in tables:
         b_text = _format_number(table.b_mt) if table.b_mt is not None else ""
-        labels = [names.get(m) or names.setdefault(m, format_label(m)) for m in table.labels]
+        for m in set(table.labels) - names.keys():
+            names[m] = format_label(m)
+        labels = [names[m] for m in table.labels]
         for i, j, freq, intensity in zip(table.i, table.j, table.freq_mhz, table.intensity):
             writer.writerow(
                 [b_text, _format_number(freq), _format_number(intensity), labels[i], labels[j]]

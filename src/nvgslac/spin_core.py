@@ -10,14 +10,15 @@ Conventions used throughout the package:
 Eigensolving is stacked (:func:`eigensolve` is the n = 1 case).  Each
 eigenvector takes the basis label of its largest squared overlap, an argmax
 over the stack; where that argmax is not a permutation (at level crossings)
-the greedy bijection decides, which equals the argmax wherever it is one.
+the greedy bijection of :func:`label_states` decides, which equals the
+argmax wherever it is one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,47 +218,42 @@ def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     return np.array(assign)
 
 
-def _labeled(energies: np.ndarray, vectors: np.ndarray, basis_labels) -> list:
-    """Eigen-systems of a stack, each vector labeled by the basis state of largest squared overlap.
-
-    That is the argmax (lowest index on a tie) where it is a permutation, else
-    the greedy bijection; the two agree wherever the argmax is a permutation.
-    """
-    basis_labels = tuple(basis_labels)
-    dim = vectors.shape[-1]
-    if len(basis_labels) != dim:
-        raise ValidationError("number of basis labels must equal the system dimension")
-    overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
-    assign = [
-        tuple(row) if len(set(row)) == dim  # else near a level crossing
-        else tuple(_greedy_bijection(overlap[k].T).tolist())
-        for k, row in enumerate(overlap.argmax(axis=-2).tolist())
-    ]
-    return [
-        EigenSystem(e, v, tuple(basis_labels[a] for a in row))
-        for e, v, row in zip(energies, vectors, assign)
-    ]
-
-
 def label_states(system: EigenSystem, basis_labels) -> EigenSystem:
     """Attach to each eigenvector the basis label of maximum squared overlap.
 
     The assignment is a bijection: overlaps are visited in descending
     order and a label is used at most once.
     """
-    return _labeled(system.energies[None], system.vectors[None], basis_labels)[0]
+    basis_labels = tuple(basis_labels)
+    if len(basis_labels) != system.dim:
+        raise ValidationError("number of basis labels must equal the system dimension")
+    overlap = np.abs(system.vectors) ** 2  # overlap[b, k]
+    assign = _greedy_bijection(overlap.T)  # eigenvector k -> basis index
+    labels = tuple(basis_labels[assign[k]] for k in range(system.dim))
+    return replace(system, labels=labels)
 
 
 def eigensolve_stack(hs: np.ndarray, basis_labels=None) -> list:
     """Diagonalize and label a stack (n, d, d) of Hermitian matrices: one check, one ``eigh``.
 
-    Each matrix gets the bits of its own ``eigh`` and the labels of :func:`label_states`.
+    Each matrix gets the bits of its own ``eigh`` and the labels of
+    :func:`label_states`, read off the argmax of the squared overlaps
+    wherever that argmax is a permutation.
     """
     hs = np.asarray(hs, dtype=complex)
     require_hermitian(hs)
-    if basis_labels is None:
-        basis_labels = default_basis_labels(hs.shape[-1])
-    return _labeled(*np.linalg.eigh(hs), basis_labels)
+    dim = hs.shape[-1]
+    basis_labels = tuple(default_basis_labels(dim) if basis_labels is None else basis_labels)
+    if len(basis_labels) != dim:
+        raise ValidationError("number of basis labels must equal the system dimension")
+    energies, vectors = np.linalg.eigh(hs)
+    argmax = (np.abs(vectors) ** 2).argmax(axis=-2).tolist()  # [n][k] -> basis index
+    return [
+        EigenSystem(e, v, tuple(map(basis_labels.__getitem__, row)))
+        if len(set(row)) == dim  # else near a level crossing
+        else label_states(EigenSystem(e, v), basis_labels)
+        for e, v, row in zip(energies, vectors, argmax)
+    ]
 
 
 def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:

@@ -21,10 +21,11 @@ runs once per eigen-system and band: it folds the dipole operator into
 the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
 the transition probabilities and the band mask, and the m_S / m_I index
 of every level, read from its label; :func:`fold_stages` does this for a
-stack of eigen-systems with one fold v^H D v.  ``hamiltonian.field_stages``
-feeds it a field sweep solved as (n, 9, 9) stacks, whose levels carry the
-argmax labels, or the greedy bijection's where the argmax is not a
-permutation (see ``spin_core``).  The population stage,
+stack of eigen-systems with one fold v^H D v.  :func:`field_stages` runs
+it on a field sweep solved as (n, 9, 9) stacks by
+``hamiltonian.solve_fields``, whose levels carry the argmax labels, or
+the greedy bijection's where the argmax is not a permutation (see
+``spin_core``).  The population stage,
 :func:`population_stage`, runs once per (beta, manifold split): it
 weights the pairs, applies the intensity floor over all pairs and then
 the band mask.  A fit at a fixed field repeats only the second stage.
@@ -35,12 +36,14 @@ them per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .hamiltonian import solve_fields
 from .spin_core import EigenSystem, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
@@ -214,8 +217,17 @@ def fold_stages(systems, mode: str | None = None) -> list:
 
 def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
     """Fold the dipole operator and index the level pairs once per eigen-system and band."""
-    p = transition_probabilities(dipole_elements(system))
-    return _field_stages([system], p[None], mode)[0]
+    return fold_stages([system], mode)[0]
+
+
+def field_stages(constants, fields, theta_deg: float = 0.0, mode: str | None = None):
+    """Iterator over the field stages of a field sweep, one per field.
+
+    The fields are checked before any work and solved in stacks by
+    ``hamiltonian.solve_fields``; each stack is folded as one.
+    """
+    chunks = solve_fields(constants, fields, theta_deg)
+    return itertools.chain.from_iterable(fold_stages(systems, mode) for systems in chunks)
 
 
 def population_stage(

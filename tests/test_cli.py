@@ -340,7 +340,6 @@ def test_fit_bad_start_rejected_before_any_evaluation(
         raise AssertionError("a model was evaluated")
 
     monkeypatch.setattr(fitting, "build_nv_hamiltonian", no_build)
-    monkeypatch.setattr(fitting, "field_stages", no_build)
     code = run(["fit", str(fit_input), f"{flag}={value}", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert value in capsys.readouterr().err

@@ -186,22 +186,15 @@ def test_fit_n_evaluations_includes_field_scan(model_calls):
 
 @pytest.fixture
 def field_builds(monkeypatch):
-    """Record the field of every Hamiltonian the fitter builds, alone or in a stack."""
+    """Record the field of every Hamiltonian the fitter builds."""
     builds = []
     build = fitting.build_nv_hamiltonian
-    solve = fitting.field_stages
 
     def counting_build(constants, field_cfg):
         builds.append(field_cfg.b)
         return build(constants, field_cfg)
 
-    def counting_solve(constants, fields, *args, **kwargs):
-        stages = solve(constants, fields, *args, **kwargs)  # checks every field first
-        builds.extend(fields)
-        return stages
-
     monkeypatch.setattr(fitting, "build_nv_hamiltonian", counting_build)
-    monkeypatch.setattr(fitting, "field_stages", counting_solve)
     return builds
 
 
@@ -257,34 +250,6 @@ def test_fit_field_cache_holds_at_most_its_cap(monkeypatch, field_builds):
     assert max(sizes) == 4
     assert len(field_builds) > n_fields  # dropped fields were solved again
     assert capped == uncapped
-
-
-@pytest.mark.parametrize("b, b_start", [(101.4, 101.35), (gslac_field(C) + 0.1, None)])
-def test_stacked_scan_leaves_the_fit_report_unchanged(monkeypatch, b, b_start):
-    data, _ = synthetic_spectrum(0.3, b, 1.0, seed=13)
-    start = FitParams(beta=0.0, b=b if b_start is None else b_start, width=1.0)
-    stacked = fit_report_document(fit_spectrum(data, start))
-    monkeypatch.setattr(fitting._FieldStages, "fill", lambda self, fields, theta_deg: None)
-    one_by_one = fit_report_document(fit_spectrum(data, start))
-    assert json.dumps(stacked, sort_keys=True) == json.dumps(one_by_one, sort_keys=True)
-    assert stacked["n_evaluations"] == one_by_one["n_evaluations"]
-
-
-def test_b_free_fit_solves_its_scan_in_one_stack(monkeypatch, field_builds):
-    stacks = []
-    solve = fitting.field_stages
-
-    def recording_solve(constants, fields, *args, **kwargs):
-        stacks.append(len(fields))
-        return solve(constants, fields, *args, **kwargs)
-
-    monkeypatch.setattr(fitting, "field_stages", recording_solve)
-    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
-    del field_builds[:]
-    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
-    assert "b_fixed_near_gslac" not in result.flags
-    assert stacks == [21]
-    assert len(field_builds) == len(set(field_builds))  # no scan field is solved again
 
 
 def test_fit_curvature_probes_stay_within_budget():

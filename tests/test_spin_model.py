@@ -19,7 +19,6 @@ from nvgslac.hamiltonian import (
     FieldConfig,
     PhysicalConstants,
     build_nv_hamiltonian,
-    field_stages,
     level_sweep,
 )
 from nvgslac.spin_core import (
@@ -35,6 +34,7 @@ from nvgslac.spin_core import (
 from nvgslac.transitions import (
     dipole_elements,
     field_stage,
+    field_stages,
     transition_probabilities,
     transition_table,
 )
