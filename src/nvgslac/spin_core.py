@@ -247,13 +247,13 @@ def eigensolve_stack(hs: np.ndarray, basis_labels=None) -> list:
     if len(basis_labels) != dim:
         raise ValidationError("number of basis labels must equal the system dimension")
     energies, vectors = np.linalg.eigh(hs)
-    argmax = (np.abs(vectors) ** 2).argmax(axis=-2).tolist()  # [n][k] -> basis index
-    return [
-        EigenSystem(e, v, tuple(map(basis_labels.__getitem__, row)))
-        if len(set(row)) == dim  # else near a level crossing
-        else label_states(EigenSystem(e, v), basis_labels)
-        for e, v, row in zip(energies, vectors, argmax)
-    ]
+    overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
+    systems = []
+    for e, v, w, row in zip(energies, vectors, overlap, overlap.argmax(axis=-2).tolist()):
+        if len(set(row)) < dim:  # near a level crossing: label_states' greedy bijection
+            row = _greedy_bijection(w.T).tolist()
+        systems.append(EigenSystem(e, v, tuple(map(basis_labels.__getitem__, row))))
+    return systems
 
 
 def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:

@@ -117,7 +117,7 @@ class TransitionTable:
 
 
 def _fold_dipole(vectors: np.ndarray, labels) -> np.ndarray:
-    """Electron (S+ + S-) operator folded into a stack (n, d, d) of eigenbases, v^H D v."""
+    """Electron (S+ + S-) operator folded into an eigenbasis, or a stack (n, d, d) of them: v^H D v."""
     if labels is None or not isinstance(labels[0], tuple):
         raise ValidationError("eigen-system must carry product-basis labels")
     n_c13 = len(labels[0]) - 2
@@ -131,7 +131,7 @@ def _fold_dipole(vectors: np.ndarray, labels) -> np.ndarray:
 
 def dipole_elements(system: EigenSystem) -> np.ndarray:
     """Electron (S+ + S-) operator in the eigenbasis (prefactor 1)."""
-    return _fold_dipole(system.vectors[None], system.labels)[0]
+    return _fold_dipole(system.vectors, system.labels)
 
 
 def transition_probabilities(m: np.ndarray) -> np.ndarray:
@@ -217,7 +217,8 @@ def fold_stages(systems, mode: str | None = None) -> list:
 
 def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
     """Fold the dipole operator and index the level pairs once per eigen-system and band."""
-    return fold_stages([system], mode)[0]
+    p = transition_probabilities(dipole_elements(system))
+    return _field_stages([system], p[None], mode)[0]
 
 
 def field_stages(constants, fields, theta_deg: float = 0.0, mode: str | None = None):

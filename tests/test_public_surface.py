@@ -14,7 +14,6 @@ KEEP = {
     "kappa_parameters": "closed-form mixing parameters behind the analytic oracle",
     "truncated_eigensystem": "6x6 truncated-Hamiltonian oracle (acceptance tests)",
     "level_sweep": "adiabatic relabeling of a solve_fields sweep (hamiltonian tests)",
-    "dipole_elements": "dipole matrix of one eigen-system (acceptance and transitions tests)",
     "intensity_matrix": "table from a given probability matrix (acceptance tests)",
     "track_transition": "follows one transition across a sweep (acceptance tests)",
     "lorentzian": "per-entry oracle of synthesize",
