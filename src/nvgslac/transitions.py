@@ -197,16 +197,16 @@ def _field_stages(systems, p, mode: str | None) -> list:
     if p.shape != (len(systems), dim, dim):
         raise ValidationError("probability matrix does not match the eigen-system dimension")
     iu, ju = nv_spin_model().triu if dim == 9 else np.triu_indices(dim, k=1)
-    energies = np.array([system.energies for system in systems])
-    freq = energies[:, ju] - energies[:, iu]  # ascending energies: j above i
-    indexed = {labels: _level_index(labels, iu, ju, mode) for labels in {s.labels for s in systems}}
-    levels = [indexed[system.labels] for system in systems]
-    band = (freq > 0.0) & np.array([in_band for _, _, in_band in levels])
-    rows = zip(systems, freq, p[:, iu, ju], band, levels)
-    return [
-        FieldStage(system, iu, ju, f, pk, bk, s_index, i_index)
-        for system, f, pk, bk, (s_index, i_index, _) in rows
-    ]
+    indexed = {}
+    stages = []
+    for system, pk in zip(systems, p):
+        if system.labels not in indexed:
+            indexed[system.labels] = _level_index(system.labels, iu, ju, mode)
+        s_index, i_index, in_band = indexed[system.labels]
+        freq = system.energies[ju] - system.energies[iu]  # ascending energies: j above i
+        band = (freq > 0.0) & in_band
+        stages.append(FieldStage(system, iu, ju, freq, pk[iu, ju], band, s_index, i_index))
+    return stages
 
 
 def fold_stages(systems, mode: str | None = None) -> list:
