@@ -135,7 +135,7 @@ def dipole_elements(system: EigenSystem) -> np.ndarray:
 
 
 def transition_probabilities(m: np.ndarray) -> np.ndarray:
-    """Elementwise p[i, j] = m[i, j] * m[j, i], of m or of each matrix of a stack m[n, i, j]."""
+    """Elementwise p[i, j] = m[i, j] * m[j, i] (|m[i, j]|^2 for Hermitian m), or per stacked m."""
     m = np.asarray(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValidationError("dipole element matrix must be square")
