@@ -10,6 +10,9 @@ A site adds Kronecker products of cached 9x9 electron operators and
 carbon-space operators: O(d**2) work per term, no full-size matrix product,
 and the exact bits of the dense build (see ``build_full_hamiltonian``).
 
+The lattice families are read once per run by :func:`load_families`, from
+``mc13 --families`` or else the packaged ``data/families_default.csv``.
+
 Ensemble averages are reproducible: draw k uses a generator seeded with the
 sequence ``[master_seed, k]``, so different master seeds give independent
 streams, and the draws are averaged in iteration order.
@@ -88,7 +91,6 @@ class McConfig:
     iterations: int = 400
     occupancy: float = 0.011
     seed: int = 0
-    family_file: str | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -246,14 +248,15 @@ def mc_average_spectrum(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     beta: float = 0.0,
     width: float = 1.0,
-    grid=None,
+    *,
+    grid,
     mode: str | None = None,
     families=None,
 ) -> SpectrumModel:
     """Pointwise mean spectrum over random carbon-13 placements.
 
-    ``families`` defaults to ``load_families(cfg.family_file)``; pass them
-    when they are already loaded, so the file is read once.  Carbon
+    ``families`` are the lattice families of :func:`load_families`; the
+    default is the packaged set.  Carbon
     projections enter the population weighting uniformly (spectators).
     ``ResourceLimitError`` is raised before the first draw if
     ``cfg.iterations`` exceeds ``MAX_ITERATIONS``, and before any
@@ -273,7 +276,7 @@ def mc_average_spectrum(
         )
     grid = require_grid(grid)
     if families is None:
-        families = load_families(cfg.family_file)
+        families = load_families()
     # The build reads only the family labels of a placement, in order (a
     # site index is only range-checked, and sampled sites are in range), so
     # equal keys give equal Hamiltonians.  When sites of a family get their

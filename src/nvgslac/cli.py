@@ -39,9 +39,9 @@ from .hamiltonian import (
 from .spectrum import (
     frequency_grid,
     read_spectrum_csv,
-    spectrum_to_csv,
     synthesize,
     transitions_to_csv,
+    write_spectrum_csv,
 )
 from .spin_core import eigensolve
 from .transitions import field_stages, population_stage, transition_table
@@ -145,8 +145,7 @@ def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Pat
         _write_json(path, doc)
     else:
         path = out_dir / f"{stem}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(spectrum_to_csv(spec, meta))
+        write_spectrum_csv(path, spec, meta)
     return path
 
 
@@ -180,18 +179,13 @@ def cmd_mc13(args) -> int:
     grid = _parse_grid(args.grid)
     if args.b_mt is None:
         raise ValidationError("mc13 requires --b-mt")
-    cfg = McConfig(
-        iterations=args.iterations,
-        occupancy=args.occupancy,
-        seed=args.seed,
-        family_file=args.families,
-    )
+    cfg = McConfig(iterations=args.iterations, occupancy=args.occupancy, seed=args.seed)
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
     # Carbon-13 satellites sit up to about the largest principal hyperfine
     # value away from the carbon-free lines.
     base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
     table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
-    families = load_families(cfg.family_file)  # once: parsing warns about custom sets
+    families = load_families(args.families)  # once: parsing warns about custom sets
     shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
     _check_grid_covers(grid, [table], 20.0 * args.width_mhz + shift, args.mode)
     spec = mc_average_spectrum(

@@ -258,31 +258,19 @@ def fit_spectrum(
         if not math.isfinite(value):
             raise ValidationError(f"fit start {name} must be finite, got {value!r}")
     FieldConfig(b=initial.b, theta_deg=initial.theta_deg)  # names a bad start field or angle
-    bounds = dict(DEFAULT_BOUNDS)
-    b_center = gslac_field(constants)
-    b_free = abs(initial.b - b_center) > B_FREE_THRESHOLD_MT
-    split_free = not b_free
-
-    names = ["beta", "width"]
-    if b_free:
-        names.append("b")
-        bounds["b"] = (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT)
-    if split_free:
-        names.append("manifold_split")
+    b_free = abs(initial.b - gslac_field(constants)) > B_FREE_THRESHOLD_MT
+    names = ["beta", "width", "b" if b_free else "manifold_split"]
+    bounds = {  # the field's bounds apply only when it is free
+        **DEFAULT_BOUNDS,
+        "b": (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT),
+    }
 
     eval_count = 0
-    best = {"chi2": math.inf, "x": None}
+    best = (math.inf, None, 0.0, None, None)  # penalized_chi2's tuple of the best counted one
     field_stages = _FieldStages(mode, constants)
 
     def unpack(x) -> FitParams:
-        values = dict(zip(names, x))
-        return replace(
-            initial,
-            beta=values.get("beta", initial.beta),
-            width=values.get("width", initial.width),
-            b=values.get("b", initial.b),
-            manifold_split=values.get("manifold_split", initial.manifold_split),
-        )
+        return replace(initial, **dict(zip(names, x)))
 
     def penalized_chi2(x) -> tuple:
         """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale,
@@ -306,12 +294,12 @@ def fit_spectrum(
 
     def objective(x) -> float:
         """Counted evaluation; keeps the best point seen, with its table and model."""
-        nonlocal eval_count
+        nonlocal eval_count, best
         eval_count += 1
-        total, clipped, scale, table, model = penalized_chi2(x)
-        if clipped is not None and total < best["chi2"]:
-            best.update(chi2=total, x=clipped, scale=scale, table=table, model=model)
-        return total
+        evaluation = penalized_chi2(x)
+        if evaluation[1] is not None and evaluation[0] < best[0]:
+            best = evaluation
+        return evaluation[0]
 
     # Coarse scoring grid over (beta, width), other parameters at their
     # start.  The grid spans the plausible region around the initial
@@ -326,12 +314,7 @@ def fit_spectrum(
     )
 
     def start_vector(beta0, width0, b0):
-        x0 = [beta0, width0]
-        if b_free:
-            x0.append(b0)
-        if split_free:
-            x0.append(initial.manifold_split)
-        return x0
+        return [beta0, width0, b0 if b_free else initial.manifold_split]
 
     def score(vectors) -> list:
         """(objective, vector) pairs, for as many vectors as the budget allows."""
@@ -369,16 +352,16 @@ def fit_spectrum(
         )
         converged = converged or bool(result.success)
 
-    if best["x"] is None or not converged:
+    _, x_best, scale, table, model = best
+    if x_best is None or not converged:
         raise ConvergenceError(
             f"fit did not converge: {eval_count} evaluations spent of a budget of "
             f"{max_evaluations}",
-            best=None if best["x"] is None else unpack(best["x"]),
+            best=None if x_best is None else unpack(x_best),
         )
 
-    params = unpack(best["x"])
-    table, scale = best["table"], best["scale"]
-    chi2 = reduced_chi2(data, scale * best["model"].values, sigma=sigma)
+    params = unpack(x_best)
+    chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
 
     areas: dict = {}
     strengths: dict = {}
@@ -392,7 +375,7 @@ def fit_spectrum(
     # 1-d curvature of chi2 at the optimum (uncertainty proxy); the probes
     # are not search evaluations, so they neither count nor move ``best``.
     curvatures = {}
-    x_best = np.asarray(best["x"], dtype=float)
+    x_best = np.asarray(x_best, dtype=float)
     for k, name in enumerate(names):
         h = 1e-3
         plus = x_best.copy()
@@ -402,9 +385,6 @@ def fit_spectrum(
         up, down = penalized_chi2(plus)[0], penalized_chi2(minus)[0]
         curvatures[name] = (up - 2.0 * chi2 + down) / h ** 2
 
-    flags = []
-    if not b_free:
-        flags.append("b_fixed_near_gslac")
     return FitResult(
         params=params,
         chi2_red=chi2,
@@ -413,7 +393,7 @@ def fit_spectrum(
         scale=scale,
         curvatures=curvatures,
         n_evaluations=eval_count,
-        flags=tuple(flags),
+        flags=() if b_free else ("b_fixed_near_gslac",),
     )
 
 

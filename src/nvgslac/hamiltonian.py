@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .spin_core import (
     EigenSystem,
-    _greedy_bijection,
+    assign_labels,
     eigensolve_stack,
     label_states,
     nv_spin_model,
@@ -100,8 +100,8 @@ CONSTANT_UNITS = {
 def parse_constants_file(path) -> PhysicalConstants:
     """Read a flat ``key = value`` override file.
 
-    Unknown keys and non-numeric values are rejected; missing keys keep
-    their defaults.  ``#`` starts a comment.
+    Unknown keys and non-numeric or non-finite values are rejected;
+    missing keys keep their defaults.  ``#`` starts a comment.
     """
     overrides = {}
     known = set(PhysicalConstants.__dataclass_fields__)
@@ -117,15 +117,17 @@ def parse_constants_file(path) -> PhysicalConstants:
                 if len(parts) != 2:
                     raise ParseError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = parts
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in known:
                 raise ParseError(f"{path}:{lineno}: unknown constant {key!r}")
             if key in overrides:
                 raise ParseError(f"{path}:{lineno}: duplicate constant {key!r}")
             try:
-                overrides[key] = float(value.strip())
+                overrides[key] = float(value)
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: invalid number {value.strip()!r}") from None
+                raise ParseError(f"{path}:{lineno}: invalid number {value!r}") from None
+            if not np.isfinite(overrides[key]):
+                raise ParseError(f"{path}:{lineno}: constant {key!r} must be finite, got {value!r}")
     return replace(DEFAULT_CONSTANTS, **overrides)
 
 
@@ -382,16 +384,16 @@ def level_sweep(
 
     The fields are solved by :func:`solve_fields`, which labels each by
     basis overlap; each point after the first then inherits labels from
-    its predecessor through greedy eigenvector overlap matching, so a
-    label follows one adiabatic branch through anticrossings.
+    its predecessor by ``spin_core.assign_labels`` on the overlaps of the
+    two fields' eigenvectors, so a label follows one adiabatic branch
+    through anticrossings.
     """
     fields = [float(b) for b in fields]
     if not fields:
         raise ValidationError("field range must be nonempty")
     systems = [s for chunk in solve_fields(constants, fields, theta_deg, phi_deg) for s in chunk]
     for k in range(1, len(systems)):
-        prev = systems[k - 1]
-        overlap = np.abs(prev.vectors.conj().T @ systems[k].vectors) ** 2  # [prev_k, k]
-        assign = _greedy_bijection(overlap.T)  # new k -> prev k
-        systems[k] = replace(systems[k], labels=tuple(prev.labels[a] for a in assign))
+        prev, v = systems[k - 1], systems[k].vectors
+        labels = assign_labels((prev.vectors.conj().T @ v)[None], prev.labels)[0]
+        systems[k] = replace(systems[k], labels=labels)
     return systems

@@ -7,11 +7,14 @@ Conventions used throughout the package:
   (electron, host nitrogen, carbon-13 site 1, carbon-13 site 2, ...),
 * energies and frequencies are in MHz, magnetic fields in mT.
 
-Eigensolving is stacked (:func:`eigensolve` is the n = 1 case).  Each
-eigenvector takes the basis label of its largest squared overlap, an argmax
-over the stack; where that argmax is not a permutation (at level crossings)
-the greedy bijection of :func:`label_states` decides, which equals the
-argmax wherever it is one.
+Eigensolving is stacked (:func:`eigensolve` is the n = 1 case).  One
+routine, :func:`assign_labels`, decides every label: each eigenvector takes
+the label of its largest squared overlap, an argmax over the stack; where
+that argmax is not a permutation (at level crossings) a greedy bijection
+decides, which equals the argmax wherever it is one.  Its three callers are
+:func:`eigensolve_stack` (basis overlaps of a solved stack),
+:func:`label_states` (one given system) and ``hamiltonian.level_sweep``
+(overlaps with the previous field's eigenvectors and labels).
 """
 
 from __future__ import annotations
@@ -218,42 +221,44 @@ def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     return np.array(assign)
 
 
-def label_states(system: EigenSystem, basis_labels) -> EigenSystem:
-    """Attach to each eigenvector the basis label of maximum squared overlap.
+def assign_labels(vectors: np.ndarray, labels) -> list:
+    """The labels of the columns of each matrix of a stack (n, d, d), one tuple per matrix.
 
-    The assignment is a bijection: overlaps are visited in descending
-    order and a label is used at most once.
+    Column k of a matrix takes the label of the row with its largest
+    squared entry, lowest row first; where those rows are not a
+    permutation, the greedy bijection visits the squared entries in
+    descending order and uses a label at most once.  When the argmax is a
+    permutation the greedy bijection picks exactly those entries.
     """
-    basis_labels = tuple(basis_labels)
-    if len(basis_labels) != system.dim:
+    labels = tuple(labels)
+    if len(labels) != vectors.shape[-2]:
         raise ValidationError("number of basis labels must equal the system dimension")
-    overlap = np.abs(system.vectors) ** 2  # overlap[b, k]
-    assign = _greedy_bijection(overlap.T)  # eigenvector k -> basis index
-    labels = tuple(basis_labels[assign[k]] for k in range(system.dim))
-    return replace(system, labels=labels)
+    overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
+    assigned = []
+    for w, row in zip(overlap, overlap.argmax(axis=-2).tolist()):
+        if len(set(row)) < len(labels):  # near a level crossing
+            row = _greedy_bijection(w.T).tolist()
+        assigned.append(tuple(map(labels.__getitem__, row)))
+    return assigned
+
+
+def label_states(system: EigenSystem, basis_labels) -> EigenSystem:
+    """Attach to each eigenvector the basis label of maximum squared overlap, bijectively."""
+    return replace(system, labels=assign_labels(system.vectors[None], basis_labels)[0])
 
 
 def eigensolve_stack(hs: np.ndarray, basis_labels=None) -> list:
     """Diagonalize and label a stack (n, d, d) of Hermitian matrices: one check, one ``eigh``.
 
     Each matrix gets the bits of its own ``eigh`` and the labels of
-    :func:`label_states`, read off the argmax of the squared overlaps
-    wherever that argmax is a permutation.
+    :func:`assign_labels`.
     """
     hs = np.asarray(hs, dtype=complex)
     require_hermitian(hs)
-    dim = hs.shape[-1]
-    basis_labels = tuple(default_basis_labels(dim) if basis_labels is None else basis_labels)
-    if len(basis_labels) != dim:
-        raise ValidationError("number of basis labels must equal the system dimension")
+    if basis_labels is None:
+        basis_labels = default_basis_labels(hs.shape[-1])
     energies, vectors = np.linalg.eigh(hs)
-    overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
-    systems = []
-    for e, v, w, row in zip(energies, vectors, overlap, overlap.argmax(axis=-2).tolist()):
-        if len(set(row)) < dim:  # near a level crossing: label_states' greedy bijection
-            row = _greedy_bijection(w.T).tolist()
-        systems.append(EigenSystem(e, v, tuple(map(basis_labels.__getitem__, row))))
-    return systems
+    return list(map(EigenSystem, energies, vectors, assign_labels(vectors, basis_labels)))
 
 
 def eigensolve(h: np.ndarray, basis_labels=None) -> EigenSystem:

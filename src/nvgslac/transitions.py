@@ -20,12 +20,10 @@ A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
 the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
 the transition probabilities and the band mask, and the m_S / m_I index
-of every level, read from its label; :func:`fold_stages` does this for a
-stack of eigen-systems with one fold v^H D v.  :func:`field_stages` runs
-it on a field sweep solved as (n, 9, 9) stacks by
-``hamiltonian.solve_fields``, whose levels carry the argmax labels, or
-the greedy bijection's where the argmax is not a permutation (see
-``spin_core``).  The population stage,
+of every level, read from its label.  :func:`field_stages` runs it on a
+field sweep solved as (n, 9, 9) stacks by ``hamiltonian.solve_fields``
+(labeled as ``spin_core`` describes), with one fold v^H D v per stack.
+The population stage,
 :func:`population_stage`, runs once per (beta, manifold split): it
 weights the pairs, applies the intensity floor over all pairs and then
 the band mask.  A fit at a fixed field repeats only the second stage.
@@ -36,7 +34,6 @@ them per call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -187,12 +184,15 @@ def _level_index(labels, iu, ju, mode: str | None) -> tuple:
     return s_index, i_index, (m_s[ju] == 1 if mode == "hi" else m_s[ju] != 1) & (m_s[iu] != 1)
 
 
-def _field_stages(systems, p, mode: str | None) -> list:
+def _field_stages(systems, mode: str | None, p=None) -> list:
     """Field stages of eigen-systems of one dimension, from their probabilities p[n, i, j].
 
+    Without ``p`` the dipole is folded into the whole stack as one v^H D v.
     The levels are indexed once per distinct label order.
     """
-    p = np.asarray(p)
+    if p is None:
+        vectors = np.array([s.vectors for s in systems])
+        p = transition_probabilities(_fold_dipole(vectors, systems[0].labels))
     dim = systems[0].dim
     if p.shape != (len(systems), dim, dim):
         raise ValidationError("probability matrix does not match the eigen-system dimension")
@@ -209,26 +209,20 @@ def _field_stages(systems, p, mode: str | None) -> list:
     return stages
 
 
-def fold_stages(systems, mode: str | None = None) -> list:
-    """The field stage of each eigen-system, all of one dimension, from one stacked dipole fold."""
-    folded = _fold_dipole(np.array([s.vectors for s in systems]), systems[0].labels)
-    return _field_stages(systems, transition_probabilities(folded), mode)
-
-
 def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
     """Fold the dipole operator and index the level pairs once per eigen-system and band."""
     p = transition_probabilities(dipole_elements(system))
-    return _field_stages([system], p[None], mode)[0]
+    return _field_stages([system], mode, p[None])[0]
 
 
 def field_stages(constants, fields, theta_deg: float = 0.0, mode: str | None = None):
     """Iterator over the field stages of a field sweep, one per field.
 
-    The fields are checked before any work and solved in stacks by
-    ``hamiltonian.solve_fields``; each stack is folded as one.
+    The fields are checked on the call, before any work, and solved in
+    stacks by ``hamiltonian.solve_fields``; each stack is folded as one.
     """
-    chunks = solve_fields(constants, fields, theta_deg)
-    return itertools.chain.from_iterable(fold_stages(systems, mode) for systems in chunks)
+    chunks = solve_fields(constants, fields, theta_deg)  # checks the fields now
+    return (stage for systems in chunks for stage in _field_stages(systems, mode))
 
 
 def population_stage(
@@ -274,7 +268,7 @@ def intensity_matrix(
     A pair of levels is kept when its intensity (probability times the
     population difference) exceeds ``floor_rel`` times the maximum intensity.
     """
-    stage = _field_stages([system], np.asarray(p)[None], None)[0]
+    stage = _field_stages([system], None, np.asarray(p)[None])[0]
     return population_stage(stage, beta, manifold_split, b_mt=b_mt, floor_rel=floor_rel)
 
 

@@ -48,6 +48,29 @@ def test_constants_bad_override_exits_3(tmp_path, capsys):
     assert run(["constants", "--constants", str(override)]) == 3
 
 
+@pytest.mark.parametrize("command", ["constants", "simulate", "mc13", "fit"])
+def test_non_finite_constant_exits_3_before_any_eigh(tmp_path, capsys, monkeypatch, command):
+    def no_eigh(a):
+        raise AssertionError("eigh ran with a non-finite constant")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    override = tmp_path / "c.txt"
+    override.write_text("a_perp = nan\n")
+    data = tmp_path / "spec.csv"
+    grid = frequency_grid(5680.0, 5800.0, 1.0)
+    write_spectrum_csv(data, MeasuredSpectrum(grid, np.ones_like(grid), meta={"b_mt": 101.5}))
+    args = {
+        "constants": [],
+        "simulate": ["--b-mt", "101.5", "--grid", "5680:5800:1", "--out", str(tmp_path / "o")],
+        "mc13": ["--b-mt", "101.5", "--grid", "5680:5800:1", "--out", str(tmp_path / "o")],
+        "fit": [str(data), "--out", str(tmp_path / "fit.json")],
+    }[command]
+    assert run([command, "--constants", str(override)] + args) == 3
+    assert capsys.readouterr().err == (
+        f"error: {override}:1: constant 'a_perp' must be finite, got 'nan'\n"
+    )
+
+
 def test_simulate_hi_far_field(tmp_path):
     out = tmp_path / "sim"
     code = run(

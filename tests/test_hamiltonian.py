@@ -63,6 +63,14 @@ def test_constants_file_rejects_bad_number(tmp_path):
         parse_constants_file(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1e400", "NaN"])
+def test_constants_file_rejects_non_finite_number(tmp_path, value):
+    path = tmp_path / "constants.txt"
+    path.write_text(f"gamma_e = 28.0\nd_g = {value}\n")
+    with pytest.raises(ParseError, match=f"{path}:2: constant 'd_g' must be finite, got '{value}'"):
+        parse_constants_file(path)
+
+
 def test_field_config_validation():
     with pytest.raises(ValidationError):
         FieldConfig(b=-1.0)

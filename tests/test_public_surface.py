@@ -18,7 +18,6 @@ KEEP = {
     "track_transition": "follows one transition across a sweep (acceptance tests)",
     "lorentzian": "per-entry oracle of synthesize",
     "model_spectrum": "one fit-model evaluation (benchmark and fit tests)",
-    "write_spectrum_csv": "library spectrum writer (benchmark)",
 }
 
 

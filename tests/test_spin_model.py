@@ -211,6 +211,20 @@ def test_stacked_labels_equal_the_greedy_bijection_on_every_system(monkeypatch):
     assert fallbacks  # argmax is not a permutation at some level crossings
 
 
+def test_level_sweep_labels_follow_the_greedy_predecessor_rule():
+    greedy = spin_core._greedy_bijection
+    fields = 100.0 + 1e-3 * np.arange(5001)  # 100-105 mT in 1 uT steps
+    for theta in (0.0, 0.3, 2.0):
+        swept = level_sweep(C, fields, theta_deg=theta)
+        assign = greedy((np.abs(swept[0].vectors) ** 2).T)
+        labels = tuple(NV_N14_LABELS[a] for a in assign)
+        assert swept[0].labels == labels
+        for prev, system in zip(swept, swept[1:]):
+            assign = greedy((np.abs(prev.vectors.conj().T @ system.vectors) ** 2).T)
+            labels = tuple(labels[a] for a in assign)
+            assert system.labels == labels
+
+
 @pytest.mark.parametrize("mode", ["hi", "lo", None])
 def test_stack_across_a_chunk_boundary_is_bit_equal_to_single_solves(monkeypatch, mode):
     shapes = []
