@@ -235,9 +235,9 @@ def assign_labels(vectors: np.ndarray, labels) -> list:
         raise ValidationError("number of basis labels must equal the system dimension")
     overlap = np.abs(vectors) ** 2  # overlap[n, b, k]
     assigned = []
-    for w, row in zip(overlap, overlap.argmax(axis=-2).tolist()):
+    for n, row in enumerate(overlap.argmax(axis=-2).tolist()):
         if len(set(row)) < len(labels):  # near a level crossing
-            row = _greedy_bijection(w.T).tolist()
+            row = _greedy_bijection(overlap[n].T).tolist()
         assigned.append(tuple(map(labels.__getitem__, row)))
     return assigned
 
