@@ -177,13 +177,13 @@ def site_list(families) -> tuple:
     return tuple((f.label, k) for f in families for k in range(f.multiplicity))
 
 
-def sample_placement(cfg: McConfig, iteration: int, families) -> C13Placement:
-    """Independent Bernoulli occupation per site, reproducible per iteration."""
+def sample_placement(cfg: McConfig, iteration: int, families, sites=None) -> C13Placement:
+    """Independent Bernoulli occupation per site, reproducible per iteration; ``sites`` is
+    ``site_list(families)``, which a caller drawing many placements makes once."""
     rng = np.random.default_rng([cfg.seed, iteration])
-    sites = site_list(families)
+    sites = site_list(families) if sites is None else sites
     draws = rng.random(len(sites))
-    occupied = tuple(site for site, u in zip(sites, draws) if u < cfg.occupancy)
-    return C13Placement(occupied=occupied)
+    return C13Placement(occupied=tuple(sites[k] for k in np.flatnonzero(draws < cfg.occupancy)))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,8 +283,9 @@ def mc_average_spectrum(
     # own azimuths, the key must grow to hold them.
     keys = []
     first = {}
+    sites = site_list(families)
     for k in range(cfg.iterations):
-        placement = sample_placement(cfg, k, families)
+        placement = sample_placement(cfg, k, families, sites)
         key = tuple(label for label, _ in placement.occupied)
         first.setdefault(key, placement)
         keys.append(key)

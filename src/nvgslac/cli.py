@@ -302,8 +302,20 @@ def cmd_constants(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads every token ``float()`` parses as a value: argparse alone reads ``-1e-05`` and
+    ``-inf`` as options, so ``--beta -1e-05`` fails with "expected one argument"."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nvgslac",
         description="NV center level-anticrossing spectra: simulate, fit and analyze.",
     )

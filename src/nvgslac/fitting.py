@@ -40,14 +40,16 @@ from scipy.optimize import minimize
 from .errors import ConvergenceError, ValidationError
 from .hamiltonian import (
     DEFAULT_CONSTANTS,
+    NV_N14_LABELS,
     FieldConfig,
     PhysicalConstants,
-    build_nv_hamiltonian,
+    _field_terms,
+    _hamiltonian,
     gslac_field,
 )
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
-from .spin_core import eigensolve, format_label
-from .transitions import FieldStage, TransitionTable, field_stage, population_stage
+from .spin_core import eigensolve_stack, format_label
+from .transitions import FieldStage, TransitionTable, _field_stages, population_stage
 
 B_FREE_THRESHOLD_MT = 0.5
 # Largest step of the start-field scan; below the 14N spacing |a_par| / gamma_e
@@ -155,12 +157,7 @@ def reduced_chi2(data: MeasuredSpectrum, model_values, sigma=None) -> float:
         if sigma.shape != residual.shape:
             raise ValidationError("sigma must match the data grid")
         residual = residual / sigma
-    return float(np.mean(residual ** 2))
-
-
-def _solve_field(params: FitParams, mode: str, constants: PhysicalConstants) -> FieldStage:
-    field_cfg = FieldConfig(b=params.b, theta_deg=params.theta_deg)
-    return field_stage(eigensolve(build_nv_hamiltonian(constants, field_cfg)), mode)
+    return float(np.add.reduce(residual * residual)) / residual.size  # the bits of np.mean
 
 
 def _weigh(stage: FieldStage, params: FitParams) -> TransitionTable:
@@ -174,26 +171,32 @@ def model_spectrum(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> SpectrumModel:
     """Synthesize the band-limited model spectrum for one parameter set."""
-    table = _weigh(_solve_field(params, mode, constants), params)
+    table = _weigh(_FieldStages(params, mode, constants).solve(params.b), params)
     return synthesize(table, params.width, grid)
 
 
 class _FieldStages:
-    """The field stages of one fit by (B, theta); beyond FIELD_CACHE_SIZE the oldest is dropped."""
+    """The field stages of one fit by B at the start's angle; beyond FIELD_CACHE_SIZE the oldest
+    is dropped.  The angle's terms of H and each level index are made once per fit."""
 
-    def __init__(self, mode: str, constants: PhysicalConstants):
-        self.mode = mode
-        self.constants = constants
+    def __init__(self, start: FitParams, mode: str, constants: PhysicalConstants):
+        self.terms = _field_terms(constants, FieldConfig(start.b, start.theta_deg).direction())
+        self.theta_deg, self.mode = start.theta_deg, mode
+        self.indexed = {}
         self.stages = {}
 
+    def solve(self, b: float) -> FieldStage:
+        FieldConfig(b, self.theta_deg)  # names a bad field
+        systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
+        return _field_stages(systems, self.mode, indexed=self.indexed)[0]
+
     def __call__(self, params: FitParams) -> FieldStage:
-        key = (params.b, params.theta_deg)
-        stage = self.stages.get(key)
+        stage = self.stages.get(params.b)
         if stage is None:
-            stage = _solve_field(params, self.mode, self.constants)
+            stage = self.solve(params.b)
             if len(self.stages) >= FIELD_CACHE_SIZE:
                 del self.stages[next(iter(self.stages))]
-            self.stages[key] = stage
+            self.stages[params.b] = stage
         return stage
 
 
@@ -238,14 +241,16 @@ def fit_spectrum(
     raised if no search converged.  The curvature probes at the optimum,
     two per free parameter, are not counted.
 
-    Only beta, the width and the manifold split change between most
-    evaluations, so the call keeps the field stage (H build, eigensolve,
-    dipole fold and pair indexing; see ``transitions``) of each clipped
-    (B, theta) it meets and redoes only the population stage and the
-    synthesis when a field comes back.  At most ``FIELD_CACHE_SIZE``
-    (1,024) field stages are kept, the oldest dropped first, and none
-    outlives the call.  The reported table and model are those of the
-    best evaluation; the curvature probes use the same field stages.
+    What an evaluation needs is made as rarely as it can change.  Once
+    per call (theta is never free): the field direction, the terms of H
+    that do not depend on B, and the level index (m_S, m_I and band mask,
+    see ``transitions``) of each label order met.  Once per clipped B
+    met: the field stage (H sum, eigensolve, dipole fold).  Per
+    evaluation: only the population stage and the synthesis.  At most
+    ``FIELD_CACHE_SIZE`` (1,024) field stages are kept, the oldest dropped
+    first, and none outlives the call.  The reported table and model are
+    those of the best evaluation; the curvature probes use the same
+    field stages.
 
     Every start value must be finite, and the start field and angle must
     make a valid ``FieldConfig``; otherwise ``ValidationError`` is raised
@@ -257,7 +262,7 @@ def fit_spectrum(
         value = getattr(initial, name)
         if not math.isfinite(value):
             raise ValidationError(f"fit start {name} must be finite, got {value!r}")
-    FieldConfig(b=initial.b, theta_deg=initial.theta_deg)  # names a bad start field or angle
+    field_stages = _FieldStages(initial, mode, constants)  # names a bad start field or angle
     b_free = abs(initial.b - gslac_field(constants)) > B_FREE_THRESHOLD_MT
     names = ["beta", "width", "b" if b_free else "manifold_split"]
     bounds = {  # the field's bounds apply only when it is free
@@ -267,7 +272,6 @@ def fit_spectrum(
 
     eval_count = 0
     best = (math.inf, None, 0.0, None, None)  # penalized_chi2's tuple of the best counted one
-    field_stages = _FieldStages(mode, constants)
 
     def unpack(x) -> FitParams:
         return replace(initial, **dict(zip(names, x)))

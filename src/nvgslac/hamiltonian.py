@@ -180,19 +180,23 @@ def basis_index(ms: int, mi: int) -> int:
 NV_N14_LABELS = product_basis_labels(0)
 
 
-def _hamiltonian(constants: PhysicalConstants, b, direction) -> np.ndarray:
-    """H at field magnitude ``b`` (mT) along a unit direction; a ``b`` of shape (n, 1, 1) stacks."""
+def _field_terms(constants: PhysicalConstants, direction) -> tuple:
+    """The terms of H fixed by the constants and a unit field direction, for :func:`_hamiltonian`."""
     m = nv_spin_model()
     nx, ny, nz = direction
     c = constants
     return (
-        c.d_g * m.sz2
-        + c.gamma_e * b * (nx * m.sx + ny * m.sy + nz * m.sz)
-        + c.q * m.iz2
-        - c.gamma_n14 * b * (nx * m.ix + ny * m.iy + nz * m.iz)
-        + c.a_perp * m.flip_flop
-        + c.a_par * m.szi
+        c.gamma_e, c.gamma_n14,
+        c.d_g * m.sz2, nx * m.sx + ny * m.sy + nz * m.sz,
+        c.q * m.iz2, nx * m.ix + ny * m.iy + nz * m.iz,
+        c.a_perp * m.flip_flop, c.a_par * m.szi,
     )
+
+
+def _hamiltonian(terms: tuple, b) -> np.ndarray:
+    """H at field magnitude ``b`` (mT) from :func:`_field_terms`; a ``b`` of shape (n, 1, 1) stacks."""
+    gamma_e, gamma_n14, zfs, s_n, quad, i_n, flip_flop, par = terms
+    return zfs + gamma_e * b * s_n + quad - gamma_n14 * b * i_n + flip_flop + par
 
 
 def build_nv_hamiltonian(
@@ -203,10 +207,11 @@ def build_nv_hamiltonian(
     H is a weighted sum of the operators of ``nv_spin_model()``, built once
     per process, so a call only scales and adds 9x9 arrays.  The terms keep
     the order and grouping of an explicit ``embed``/``kron`` build, which
-    gives the same bits.  :func:`solve_fields` builds a stack from the same
-    expression, with the field magnitude broadcast over it.
+    gives the same bits.  The terms free of the field magnitude come from
+    ``_field_terms``, once per fit; :func:`solve_fields` builds a stack
+    from the same expression, with the field magnitude broadcast over it.
     """
-    return _hamiltonian(constants, field_cfg.b, field_cfg.direction())
+    return _hamiltonian(_field_terms(constants, field_cfg.direction()), field_cfg.b)
 
 
 def solve_fields(
@@ -224,8 +229,9 @@ def solve_fields(
     direction = FieldConfig(fields[0] if b.size else 0.0, theta_deg, phi_deg).direction()
     if not _valid_magnitude(b).all():
         FieldConfig(fields[np.flatnonzero(~_valid_magnitude(b))[0]], theta_deg, phi_deg)
+    terms = _field_terms(constants, direction)
     return (
-        eigensolve_stack(_hamiltonian(constants, b[k : k + SOLVE_CHUNK, None, None], direction))
+        eigensolve_stack(_hamiltonian(terms, b[k : k + SOLVE_CHUNK, None, None]))
         for k in range(0, b.size, SOLVE_CHUNK)
     )
 

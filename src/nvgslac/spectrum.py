@@ -99,7 +99,8 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     hwhm = float(width)
     centers = table.freq_mhz[:, None]
     amplitudes = table.intensity[:, None]
-    peaks = np.column_stack((table.freq_mhz, np.full(len(table), hwhm), table.intensity))
+    peaks = np.empty((len(table), 3))
+    peaks[:, 0], peaks[:, 1], peaks[:, 2] = table.freq_mhz, hwhm, table.intensity
     values = np.zeros_like(grid)
     if grid.size > 1:
         rows = max(1, min(len(table), SYNTH_BLOCK_POINTS // grid.size))

@@ -93,7 +93,10 @@ def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
 def require_hermitian(h: np.ndarray) -> None:
     """Raise unless h, or every matrix of a stack (n, d, d), is Hermitian to HERMITICITY_RTOL."""
     h = np.asarray(h)
-    anti = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    anti = h - h.conj().swapaxes(-1, -2)
+    if not anti.any():  # exactly Hermitian, as every build in the package; nan, inf give nonzero
+        return
+    anti = np.linalg.norm(anti, axis=(-2, -1))
     if not np.all(anti <= HERMITICITY_RTOL * np.linalg.norm(h, axis=(-2, -1))):
         raise ValidationError("matrix is not Hermitian within tolerance")
 

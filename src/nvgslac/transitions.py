@@ -184,11 +184,12 @@ def _level_index(labels, iu, ju, mode: str | None) -> tuple:
     return s_index, i_index, (m_s[ju] == 1 if mode == "hi" else m_s[ju] != 1) & (m_s[iu] != 1)
 
 
-def _field_stages(systems, mode: str | None, p=None) -> list:
+def _field_stages(systems, mode: str | None, p=None, indexed=None) -> list:
     """Field stages of eigen-systems of one dimension, from their probabilities p[n, i, j].
 
     Without ``p`` the dipole is folded into the whole stack as one v^H D v.
-    The levels are indexed once per distinct label order.
+    The levels are indexed once per distinct label order and mode, kept in
+    ``indexed`` when given (a fit passes one for all its fields).
     """
     if p is None:
         vectors = np.array([s.vectors for s in systems])
@@ -197,12 +198,13 @@ def _field_stages(systems, mode: str | None, p=None) -> list:
     if p.shape != (len(systems), dim, dim):
         raise ValidationError("probability matrix does not match the eigen-system dimension")
     iu, ju = nv_spin_model().triu if dim == 9 else np.triu_indices(dim, k=1)
-    indexed = {}
+    indexed = {} if indexed is None else indexed
     stages = []
     for system, pk in zip(systems, p):
-        if system.labels not in indexed:
-            indexed[system.labels] = _level_index(system.labels, iu, ju, mode)
-        s_index, i_index, in_band = indexed[system.labels]
+        key = (system.labels, mode)
+        if key not in indexed:
+            indexed[key] = _level_index(system.labels, iu, ju, mode)
+        s_index, i_index, in_band = indexed[key]
         freq = system.energies[ju] - system.energies[iu]  # ascending energies: j above i
         band = (freq > 0.0) & in_band
         stages.append(FieldStage(system, iu, ju, freq, pk[iu, ju], band, s_index, i_index))

@@ -117,6 +117,18 @@ def test_sample_placement_mean_occupancy():
     assert abs(mean - expected) < 3 * sigma
 
 
+def test_sample_placement_keeps_the_per_site_bernoulli_rule():
+    families = load_families()
+    sites = site_list(families)
+    for occupancy in (0.011, 0.3):
+        cfg = McConfig(iterations=1, occupancy=occupancy, seed=11)
+        for k in range(1_000):
+            u = np.random.default_rng([cfg.seed, k]).random(len(sites))
+            expected = tuple(site for site, draw in zip(sites, u) if draw < occupancy)
+            assert sample_placement(cfg, k, families).occupied == expected
+            assert sample_placement(cfg, k, families, sites).occupied == expected
+
+
 def test_mc_config_validation():
     with pytest.raises(ValidationError):
         McConfig(iterations=0)

@@ -6,7 +6,7 @@ import pytest
 
 from nvgslac import carbon13, fitting
 from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
-from nvgslac.cli import MAX_SWEEP_FIELDS, main
+from nvgslac.cli import MAX_SWEEP_FIELDS, build_parser, main
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
 from nvgslac.spectrum import (
@@ -362,7 +362,7 @@ def test_fit_bad_start_rejected_before_any_evaluation(
     def no_build(*args, **kwargs):
         raise AssertionError("a model was evaluated")
 
-    monkeypatch.setattr(fitting, "build_nv_hamiltonian", no_build)
+    monkeypatch.setattr(fitting, "_hamiltonian", no_build)
     code = run(["fit", str(fit_input), f"{flag}={value}", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert value in capsys.readouterr().err
@@ -523,3 +523,38 @@ def test_mc13_parses_a_custom_family_file_once(tmp_path):
     assert [str(w.message) for w in record] == [
         f"family file {families} covers 9 sites, not the default 39"
     ]
+
+
+def _command_args(command, fit_input, out):
+    """A short, valid run of ``command`` writing under ``out``."""
+    if command == "fit":
+        return ["fit", str(fit_input), "--out", str(out / "report.json")]
+    args = [command, "--b-mt", "101.5", "--grid", "5700:5760:0.1", "--out", str(out)]
+    return args + (["--iterations", "3", "--occupancy", "0.05"] if command == "mc13" else [])
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc13", "fit"])
+def test_negative_value_with_exponent_is_read_as_a_value(fit_input, tmp_path, command):
+    # argparse alone reads "-1e-05" as an option: "argument --beta: expected one argument"
+    args = _command_args(command, fit_input, tmp_path / "out") + ["--beta", "-1e-05"]
+    assert build_parser().parse_args(args).beta == -1e-05
+    assert run(args) == 0
+    if command == "fit":
+        provenance = json.loads((tmp_path / "out" / "report.json").read_text())["provenance"]
+    else:
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+    assert provenance["options"]["beta"] == "-1e-05"
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc13", "fit"])
+def test_negative_theta_with_exponent_reaches_the_theta_check(fit_input, tmp_path, capsys, command):
+    args = _command_args(command, fit_input, tmp_path / "x") + ["--theta-deg", "-2.5E-3"]
+    assert run(args) == 2
+    assert "theta must lie in [0, 180), got -0.0025" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-1E+400", "-nan"])
+def test_negative_non_finite_beta_reaches_the_beta_check(tmp_path, capsys, value):
+    args = ["simulate", "--b-mt", "101.5", "--grid", "5700:5760:0.1", "--out", str(tmp_path)]
+    assert run(args + ["--beta", value]) == 2
+    assert "spin temperature must be finite" in capsys.readouterr().err

@@ -188,13 +188,13 @@ def test_fit_n_evaluations_includes_field_scan(model_calls):
 def field_builds(monkeypatch):
     """Record the field of every Hamiltonian the fitter builds."""
     builds = []
-    build = fitting.build_nv_hamiltonian
+    build = fitting._hamiltonian
 
-    def counting_build(constants, field_cfg):
-        builds.append(field_cfg.b)
-        return build(constants, field_cfg)
+    def counting_build(terms, b):
+        builds.append(b)
+        return build(terms, b)
 
-    monkeypatch.setattr(fitting, "build_nv_hamiltonian", counting_build)
+    monkeypatch.setattr(fitting, "_hamiltonian", counting_build)
     return builds
 
 

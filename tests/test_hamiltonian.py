@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nvgslac import hamiltonian
 from nvgslac.errors import ParseError, ValidationError
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
@@ -18,10 +21,11 @@ from nvgslac.hamiltonian import (
     kappa_parameters,
     level_sweep,
     parse_constants_file,
+    solve_fields,
     truncated_eigensystem,
     truncated_hamiltonian,
 )
-from nvgslac.spin_core import embed, spin_matrices
+from nvgslac.spin_core import embed, eigensolve_stack, nv_spin_model, spin_matrices
 
 
 def sz_plus_iz():
@@ -81,6 +85,53 @@ def test_field_config_validation():
         FieldConfig(b=1.0, theta_deg=180.0)
     with pytest.raises(ValidationError):
         FieldConfig(b=1.0, phi_deg=-5.0)
+
+
+def one_expression_hamiltonian(c, b, theta_deg, phi_deg):
+    """H as one expression over the cached operators, as it was built before its terms were split."""
+    m = nv_spin_model()
+    nx, ny, nz = FieldConfig(0.0, theta_deg, phi_deg).direction()
+    return (
+        c.d_g * m.sz2
+        + c.gamma_e * b * (nx * m.sx + ny * m.sy + nz * m.sz)
+        + c.q * m.iz2
+        - c.gamma_n14 * b * (nx * m.ix + ny * m.iy + nz * m.iz)
+        + c.a_perp * m.flip_flop
+        + c.a_par * m.szi
+    )
+
+
+def coupling(scale):
+    return st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.tuples(
+        coupling(1e4), coupling(1e2), coupling(1e2), coupling(1.0), coupling(1.0),
+        coupling(1e2), coupling(1e2),
+    ),
+    fields=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=6),
+    theta=st.floats(0.0, 180.0, exclude_max=True),
+    phi=st.floats(0.0, 360.0, exclude_max=True),
+)
+def test_split_build_has_the_bits_of_one_expression(values, fields, theta, phi):
+    c = PhysicalConstants(*values)
+    for b in fields:
+        h = build_nv_hamiltonian(c, FieldConfig(b, theta, phi))
+        assert h.tobytes() == one_expression_hamiltonian(c, b, theta, phi).tobytes()
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:  # record the stack solve_fields diagonalizes
+        mp.setattr(hamiltonian, "eigensolve_stack", lambda hs: stacks.append(hs) or [])
+        list(solve_fields(c, fields, theta, phi))
+    expected = one_expression_hamiltonian(c, np.array(fields)[:, None, None], theta, phi)
+    assert [hs.tobytes() for hs in stacks] == [expected.tobytes()]
+    systems = next(solve_fields(c, fields, theta, phi))
+    want = eigensolve_stack(expected)
+    for got, ref in zip(systems, want, strict=True):
+        assert got.energies.tobytes() == ref.energies.tobytes()
+        assert got.vectors.tobytes() == ref.vectors.tobytes()
+        assert got.labels == ref.labels
 
 
 def test_hamiltonian_hermitian_any_angle(rng):

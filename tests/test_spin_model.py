@@ -11,7 +11,7 @@ from nvgslac import spin_core
 from nvgslac.carbon13 import McConfig, load_families, mc_average_spectrum, sample_placement
 from nvgslac.cli import main
 from nvgslac.errors import ValidationError
-from nvgslac.fitting import FitParams, model_spectrum
+from nvgslac.fitting import FitParams, fit_spectrum, model_spectrum
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
     NV_N14_LABELS,
@@ -21,6 +21,7 @@ from nvgslac.hamiltonian import (
     build_nv_hamiltonian,
     level_sweep,
 )
+from nvgslac.spectrum import MeasuredSpectrum
 from nvgslac.spin_core import (
     EigenSystem,
     eigensolve,
@@ -117,11 +118,17 @@ def test_hot_paths_build_no_operators(monkeypatch, tmp_path):
     assert len(list((tmp_path / "sim").glob("spectrum_hi_*.csv"))) == 5
 
 
-def test_no_cache_grows_with_carbon13():
+def test_no_cache_grows_with_carbon13(tmp_path):
     cfg = McConfig(iterations=8, occupancy=0.011, seed=2)
     families = load_families()
     assert max(sample_placement(cfg, k, families).n_c13 for k in range(cfg.iterations)) > 0
     mc_average_spectrum(cfg, FieldConfig(b=102.4), grid=np.arange(0.0, 40.0, 0.5), mode="lo")
+    # a fit's field terms, level index and field stages, and a sweep's, live one call
+    grid = np.arange(5680.0, 5710.0, 0.05)
+    data = MeasuredSpectrum(grid, model_spectrum(FitParams(0.3, 101.5, 1.2), grid).values)
+    fit_spectrum(data, FitParams(beta=0.0, b=101.45, width=1.0))
+    args = ["simulate", "--b-start", "101.0", "--b-stop", "101.4", "--b-step", "0.1"]
+    assert main(args + ["--grid", "5680:5800:0.2", "--out", str(tmp_path / "sim")]) == 0
     caches = {
         id(value): value
         for module in package_modules()
@@ -148,6 +155,49 @@ def test_stacked_level_sweep_matches_single_solves():
     assert swept[0].labels == first.labels
     with pytest.raises(ValidationError):
         level_sweep(C, [])
+
+
+def _perturbed(hs, rel, rng):
+    """A copy of the stack hs whose last matrix gains an anti-Hermitian part of rel times its norm."""
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    k = a - a.conj().T
+    out = hs.copy()
+    out[-1] += rel * np.linalg.norm(hs[-1]) / np.linalg.norm(k) * k
+    return out
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_hermiticity_tolerance_outside_the_exact_path(stacked, rng):
+    hs = np.stack([build_nv_hamiltonian(C, FieldConfig(b, 0.4, 30.0)) for b in (101.0, 102.4)])
+    if not stacked:
+        hs = hs[-1:]
+    require_hermitian(hs if stacked else hs[0])  # exactly Hermitian
+    small = _perturbed(hs, 1e-12, rng)
+    assert (small != small.conj().swapaxes(-1, -2)).any()
+    require_hermitian(small if stacked else small[0])
+    large = _perturbed(hs, 1e-6, rng)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        require_hermitian(large if stacked else large[0])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(2, 3): np.nan},
+        {(4, 4): np.inf},
+        {(0, 1): np.inf, (1, 0): np.inf},
+        {(0, 1): -np.inf, (1, 0): -np.inf},
+    ],
+    ids=["nan", "inf-diagonal", "symmetric-inf", "symmetric-minus-inf"],
+)
+def test_hermiticity_rejects_non_finite_entries(stacked, entries):
+    hs = np.stack([build_nv_hamiltonian(C, FieldConfig(b)) for b in (101.0, 102.4)])
+    for (i, j), value in entries.items():
+        hs[-1, i, j] = value
+    # inf - inf warns "invalid value" (as before the exact-Hermitian path); the check must still fail
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not Hermitian"):
+        require_hermitian(hs if stacked else hs[-1])
 
 
 def test_stack_hermiticity_checks_every_matrix():
