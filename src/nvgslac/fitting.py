@@ -186,7 +186,8 @@ class _FieldStages:
         self.stages = {}
 
     def solve(self, b: float) -> FieldStage:
-        FieldConfig(b, self.theta_deg)  # names a bad field
+        if not 0.0 <= b < math.inf:  # FieldConfig's rule, without building one per field
+            FieldConfig(b, self.theta_deg)  # names the bad field
         systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
         return _field_stages(systems, self.mode, indexed=self.indexed)[0]
 

@@ -78,7 +78,7 @@ class MeasuredSpectrum:
 def require_grid(grid) -> np.ndarray:
     """The grid as a float array; raise unless it is nonempty, finite and 1-d."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValidationError(
             f"frequency grid must be a nonempty, finite 1-d array, got shape {grid.shape}"
         )

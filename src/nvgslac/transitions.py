@@ -188,8 +188,7 @@ def _field_stages(systems, mode: str | None, p=None, indexed=None) -> list:
     """Field stages of eigen-systems of one dimension, from their probabilities p[n, i, j].
 
     Without ``p`` the dipole is folded into the whole stack as one v^H D v.
-    The levels are indexed once per distinct label order and mode, kept in
-    ``indexed`` when given (a fit passes one for all its fields).
+    The levels are indexed once per (label order, mode), in ``indexed`` if given.
     """
     if p is None:
         vectors = np.array([s.vectors for s in systems])
