@@ -195,7 +195,7 @@ def test_hermiticity_rejects_non_finite_entries(stacked, entries):
     hs = np.stack([build_nv_hamiltonian(C, FieldConfig(b)) for b in (101.0, 102.4)])
     for (i, j), value in entries.items():
         hs[-1, i, j] = value
-    # inf - inf warns "invalid value" (as before the exact-Hermitian path); the check must still fail
+    # numpy warns "invalid value" on inf - inf; the check must still fail
     with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not Hermitian"):
         require_hermitian(hs if stacked else hs[-1])
 
