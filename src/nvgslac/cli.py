@@ -44,7 +44,7 @@ from .spectrum import (
     write_spectrum_csv,
 )
 from .spin_core import eigensolve
-from .transitions import field_stages, population_stage, transition_table
+from .transitions import FieldStages, population_stage, transition_table
 
 # Most fields one simulate sweep may cover; each writes one spectrum file.
 MAX_SWEEP_FIELDS = 100_000
@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
 
     tables = []
     spectra = []
-    for b, stage in zip(fields, field_stages(constants, fields, args.theta_deg, mode=args.mode)):
+    for b, stage in zip(fields, FieldStages(constants, args.theta_deg, args.mode)(fields)):
         table = population_stage(stage, args.beta, b_mt=b)
         tables.append(table)
         spectra.append(synthesize(table, args.width_mhz, grid))
@@ -177,8 +177,6 @@ def cmd_simulate(args) -> int:
 def cmd_mc13(args) -> int:
     constants = _load_constants(args.constants)
     grid = _parse_grid(args.grid)
-    if args.b_mt is None:
-        raise ValidationError("mc13 requires --b-mt")
     cfg = McConfig(iterations=args.iterations, occupancy=args.occupancy, seed=args.seed)
     field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
     # Carbon-13 satellites sit up to about the largest principal hyperfine
@@ -303,12 +301,13 @@ def cmd_constants(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads every token ``float()`` parses as a value: argparse alone reads ``-1e-05`` and
-    ``-inf`` as options, so ``--beta -1e-05`` fails with "expected one argument"."""
+    """Reads a token as a value when ``float()`` parses each of its ``:``-separated parts:
+    argparse alone reads ``-1e-05``, ``-inf`` and ``-5:40:0.1`` as options, so
+    ``--beta -1e-05`` or ``--grid -5:40:0.1`` fails with "expected one argument"."""
 
     def _parse_optional(self, arg_string):
         try:
-            float(arg_string)
+            list(map(float, arg_string.split(":")))
         except ValueError:
             return super()._parse_optional(arg_string)
         return None

@@ -2,7 +2,7 @@
 
 The fit minimizes the reduced chi-squared
 
-    chi2 = (1/N) sum ((d_i - f_i) / sigma_i)^2,  sigma_i = 1 by default,
+    chi2 = (1/N) sum (d_i - f_i)^2,
 
 over spin temperature, linewidth, and (away from the level anticrossing)
 the field value, using Nelder-Mead.  The overall amplitude is a linear
@@ -10,8 +10,8 @@ parameter and is solved in closed form at every evaluation, so scaling
 data and model together does not move the optimum.
 
 More than 0.5 mT from the anticrossing the field is freed within +-0.5 mT
-of its start value.  The starts are then found in two stages.  First a
-1-d scan of the field over its bounds, in steps of at most
+of its start value (not below 0).  The starts are then found in two
+stages.  First a 1-d scan of the field over its bounds, in steps of at most
 ``B_SCAN_STEP_MT`` (0.05 mT) with spin temperature and width at their
 start values, picks the field that best matches the data.  Then a coarse
 beta x width grid is scored at that field, and Nelder-Mead runs from the
@@ -32,24 +32,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError, ValidationError
-from .hamiltonian import (
-    DEFAULT_CONSTANTS,
-    NV_N14_LABELS,
-    FieldConfig,
-    PhysicalConstants,
-    _field_terms,
-    _hamiltonian,
-    gslac_field,
-)
+from .hamiltonian import DEFAULT_CONSTANTS, FieldConfig, PhysicalConstants, gslac_field
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
-from .spin_core import eigensolve_stack, format_label
-from .transitions import FieldStage, TransitionTable, _field_stages, population_stage
+from .spin_core import format_label
+from .transitions import FieldStage, FieldStages, TransitionTable, population_stage
 
 B_FREE_THRESHOLD_MT = 0.5
 # Largest step of the start-field scan; below the 14N spacing |a_par| / gamma_e
@@ -59,8 +52,8 @@ GSLAC_CONFIDENCE_WINDOW_MT = 0.15
 # Start search: a beta x width scoring grid, and Nelder-Mead from the best starts.
 START_GRID = (5, 5)
 N_RESTARTS = 2
-# Field stages one fit keeps, oldest dropped first.  A 9x9 stage holds about
-# 4.7 kB, so whatever the evaluation budget a fit keeps under 5 MB of them.
+# Field stages one fit keeps, least recently used dropped first.  A 9x9 stage
+# holds about 4.7 kB, so whatever the evaluation budget a fit keeps under 5 MB.
 FIELD_CACHE_SIZE = 1024
 
 ORIENTATION_SCALE = math.sqrt(1.5)
@@ -171,34 +164,8 @@ def model_spectrum(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> SpectrumModel:
     """Synthesize the band-limited model spectrum for one parameter set."""
-    table = _weigh(_FieldStages(params, mode, constants).solve(params.b), params)
+    table = _weigh(FieldStages(constants, params.theta_deg, mode).at(params.b), params)
     return synthesize(table, params.width, grid)
-
-
-class _FieldStages:
-    """The field stages of one fit by B at the start's angle; beyond FIELD_CACHE_SIZE the oldest
-    is dropped.  The angle's terms of H and each level index are made once per fit."""
-
-    def __init__(self, start: FitParams, mode: str, constants: PhysicalConstants):
-        self.terms = _field_terms(constants, FieldConfig(start.b, start.theta_deg).direction())
-        self.theta_deg, self.mode = start.theta_deg, mode
-        self.indexed = {}
-        self.stages = {}
-
-    def solve(self, b: float) -> FieldStage:
-        if not 0.0 <= b < math.inf:  # FieldConfig's rule, without building one per field
-            FieldConfig(b, self.theta_deg)  # names the bad field
-        systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
-        return _field_stages(systems, self.mode, indexed=self.indexed)[0]
-
-    def __call__(self, params: FitParams) -> FieldStage:
-        stage = self.stages.get(params.b)
-        if stage is None:
-            stage = self.solve(params.b)
-            if len(self.stages) >= FIELD_CACHE_SIZE:
-                del self.stages[next(iter(self.stages))]
-            self.stages[params.b] = stage
-        return stage
 
 
 DEFAULT_BOUNDS = {
@@ -220,12 +187,11 @@ def fit_spectrum(
     initial: FitParams,
     mode: str = "hi",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    sigma=None,
     max_evaluations: int = 100_000,
 ) -> FitResult:
     """Fit one measured sweep by derivative-free chi-squared minimization.
 
-    The field is freed (within +-0.5 mT bounds) only when the initial
+    The field is freed (within +-0.5 mT, not below 0) only when the initial
     value lies more than 0.5 mT from the anticrossing; otherwise it stays
     fixed and the manifold split is freed.  When the field is free, it is
     first scanned over its bounds in steps of at most ``B_SCAN_STEP_MT``
@@ -243,19 +209,20 @@ def fit_spectrum(
     two per free parameter, are not counted.
 
     What an evaluation needs is made as rarely as it can change.  Once
-    per call (theta is never free): the field direction, the terms of H
-    that do not depend on B, and the level index (m_S, m_I and band mask,
-    see ``transitions``) of each label order met.  Once per clipped B
-    met: the field stage (H sum, eigensolve, dipole fold).  Per
-    evaluation: only the population stage and the synthesis.  At most
-    ``FIELD_CACHE_SIZE`` (1,024) field stages are kept, the oldest dropped
-    first, and none outlives the call.  The reported table and model are
-    those of the best evaluation; the curvature probes use the same
-    field stages.
+    per call (theta is never free), by one ``transitions.FieldStages``:
+    the field direction, the terms of H that do not depend on B, and the
+    level index (m_S, m_I and band mask) of each label order met.  Once
+    per clipped B met, by its ``at``: the field stage (H sum, eigensolve,
+    dipole fold).  Per evaluation: only the population stage and the
+    synthesis.  At most ``FIELD_CACHE_SIZE`` (1,024) field stages are
+    kept, in an LRU cache of the call, so none outlives it.  The reported
+    table and model are those of the best evaluation; the curvature
+    probes use the same field stages.
 
     Every start value must be finite, and the start field and angle must
     make a valid ``FieldConfig``; otherwise ``ValidationError`` is raised
-    before any evaluation.
+    before any evaluation.  Parameters clipped into the bounds are valid
+    model inputs, so the search turns no error into a chi-squared.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
@@ -263,12 +230,14 @@ def fit_spectrum(
         value = getattr(initial, name)
         if not math.isfinite(value):
             raise ValidationError(f"fit start {name} must be finite, got {value!r}")
-    field_stages = _FieldStages(initial, mode, constants)  # names a bad start field or angle
+    FieldConfig(initial.b, initial.theta_deg)  # names a bad start field or angle
+    stages = FieldStages(constants, initial.theta_deg, mode)
+    field_stage = lru_cache(maxsize=FIELD_CACHE_SIZE)(stages.at)
     b_free = abs(initial.b - gslac_field(constants)) > B_FREE_THRESHOLD_MT
     names = ["beta", "width", "b" if b_free else "manifold_split"]
     bounds = {  # the field's bounds apply only when it is free
         **DEFAULT_BOUNDS,
-        "b": (initial.b - B_FREE_THRESHOLD_MT, initial.b + B_FREE_THRESHOLD_MT),
+        "b": (max(initial.b - B_FREE_THRESHOLD_MT, 0.0), initial.b + B_FREE_THRESHOLD_MT),
     }
 
     eval_count = 0
@@ -288,13 +257,10 @@ def fit_spectrum(
             penalty += (value - c) ** 2
             clipped.append(c)
         params = unpack(clipped)
-        try:
-            table = _weigh(field_stages(params), params)
-            model = synthesize(table, params.width, data.grid)
-        except ValidationError:
-            return 1e30, None, 0.0, None, None
+        table = _weigh(field_stage(params.b), params)
+        model = synthesize(table, params.width, data.grid)
         scale = _optimal_scale(data.values, model.values)
-        chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
+        chi2 = reduced_chi2(data, scale * model.values)
         return chi2 + 1e6 * penalty, clipped, scale, table, model
 
     def objective(x) -> float:
@@ -302,7 +268,7 @@ def fit_spectrum(
         nonlocal eval_count, best
         eval_count += 1
         evaluation = penalized_chi2(x)
-        if evaluation[1] is not None and evaluation[0] < best[0]:
+        if evaluation[0] < best[0]:
             best = evaluation
         return evaluation[0]
 
@@ -366,7 +332,7 @@ def fit_spectrum(
         )
 
     params = unpack(x_best)
-    chi2 = reduced_chi2(data, scale * model.values, sigma=sigma)
+    chi2 = reduced_chi2(data, scale * model.values)
 
     areas: dict = {}
     strengths: dict = {}

@@ -110,13 +110,9 @@ def parse_constants_file(path) -> PhysicalConstants:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = parts
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in known:
                 raise ParseError(f"{path}:{lineno}: unknown constant {key!r}")

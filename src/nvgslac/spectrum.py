@@ -69,6 +69,8 @@ class MeasuredSpectrum:
             raise ValidationError("grid and values must be 1-d arrays of equal length")
         if grid.size and not np.all(np.diff(grid) > 0):
             raise ValidationError("frequency grid must be strictly ascending")
+        if not np.isfinite(grid).all():  # ascending lets +-inf through at either end
+            raise ValidationError("frequency grid must be finite")
         if values.size and not np.all(np.isfinite(values)):
             raise ValidationError("spectrum values must be finite")
         object.__setattr__(self, "grid", grid)

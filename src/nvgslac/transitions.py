@@ -20,9 +20,10 @@ A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
 the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
 the transition probabilities and the band mask, and the m_S / m_I index
-of every level, read from its label.  :func:`field_stages` runs it on a
+of every level, read from its label.  :class:`FieldStages` runs it on a
 field sweep solved as (n, 9, 9) stacks by ``hamiltonian.solve_fields``
-(labeled as ``spin_core`` describes), with one fold v^H D v per stack.
+(labeled as ``spin_core`` describes), with one fold v^H D v per stack,
+or one field at a time for a fit.
 The population stage,
 :func:`population_stage`, runs once per (beta, manifold split): it
 weights the pairs, applies the intensity floor over all pairs and then
@@ -36,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import solve_fields
-from .spin_core import EigenSystem, nv_spin_model
+from .hamiltonian import NV_N14_LABELS, FieldConfig, _field_terms, _hamiltonian, solve_fields
+from .spin_core import EigenSystem, eigensolve_stack, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
 MODES = ("hi", "lo")
@@ -216,14 +218,33 @@ def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
     return _field_stages([system], mode, p[None])[0]
 
 
-def field_stages(constants, fields, theta_deg: float = 0.0, mode: str | None = None):
-    """Iterator over the field stages of a field sweep, one per field.
+class FieldStages:
+    """The field stages of one field direction and band.
 
-    The fields are checked on the call, before any work, and solved in
-    stacks by ``hamiltonian.solve_fields``; each stack is folded as one.
+    Called on a sweep, it checks every field, then yields one stage per
+    field from the stacks of ``hamiltonian.solve_fields``.  :meth:`at`
+    solves one field from the B-free terms of H, made on its first call so
+    that a sweep names a bad first field before a bad angle.  Each label
+    order's level index is made once per object.
     """
-    chunks = solve_fields(constants, fields, theta_deg)  # checks the fields now
-    return (stage for systems in chunks for stage in _field_stages(systems, mode))
+
+    def __init__(self, constants, theta_deg: float = 0.0, mode: str | None = None):
+        self.constants, self.theta_deg, self.mode = constants, theta_deg, mode
+        self.indexed = {}
+
+    @cached_property
+    def terms(self) -> tuple:
+        return _field_terms(self.constants, FieldConfig(0.0, self.theta_deg).direction())
+
+    def __call__(self, fields):
+        chunks = solve_fields(self.constants, fields, self.theta_deg)  # checks the fields now
+        return (s for c in chunks for s in _field_stages(c, self.mode, indexed=self.indexed))
+
+    def at(self, b: float) -> FieldStage:
+        if not 0.0 <= b < math.inf:  # FieldConfig's rule, without building one per field
+            FieldConfig(b, self.theta_deg)  # names the bad field
+        systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
+        return _field_stages(systems, self.mode, indexed=self.indexed)[0]
 
 
 def population_stage(

@@ -545,3 +545,25 @@ def test_mc_iterations_cap_checked_before_any_draw(monkeypatch):
     cfg = McConfig(iterations=carbon13.MAX_ITERATIONS + 1, occupancy=0.011)
     with pytest.raises(ResourceLimitError, match=f"{cfg.iterations} .* cap of {carbon13.MAX_ITERATIONS}"):
         mc_average_spectrum(cfg, FIELD, grid=GRID, mode="lo")
+
+
+FAMILY_HEADER = "label,multiplicity,axx_mhz,ayy_mhz,azz_mhz,cos_zz,source\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty family file (missing header)"),
+        ("label,multiplicity,axx,ayy,azz,cos_zz,source\n", "{path}: expected header label,"),
+        (FAMILY_HEADER + "A,3,1,1,2,1.0\n", "{path}:2: expected 7 fields"),
+        (FAMILY_HEADER + "A,3,1,1,2,1,x\nB,0,1,1,2,1,x\n", "{path}:3: multiplicity must be >= 1"),
+        (FAMILY_HEADER + "A,3,1,1,2,1.5,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
+        (FAMILY_HEADER + "A,3,1,1,2,-0.1,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
+    ],
+)
+def test_family_file_rejections_name_the_line(tmp_path, text, message):
+    path = tmp_path / "families.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_families(path)
+    assert str(info.value).startswith(message.format(path=path))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nvgslac import carbon13, fitting
+from nvgslac import carbon13, transitions
 from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
 from nvgslac.cli import MAX_SWEEP_FIELDS, build_parser, main
 from nvgslac.fitting import FitParams, model_spectrum
@@ -362,7 +362,7 @@ def test_fit_bad_start_rejected_before_any_evaluation(
     def no_build(*args, **kwargs):
         raise AssertionError("a model was evaluated")
 
-    monkeypatch.setattr(fitting, "_hamiltonian", no_build)
+    monkeypatch.setattr(transitions, "_hamiltonian", no_build)
     code = run(["fit", str(fit_input), f"{flag}={value}", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert value in capsys.readouterr().err
@@ -558,3 +558,54 @@ def test_negative_non_finite_beta_reaches_the_beta_check(tmp_path, capsys, value
     args = ["simulate", "--b-mt", "101.5", "--grid", "5700:5760:0.1", "--out", str(tmp_path)]
     assert run(args + ["--beta", value]) == 2
     assert "spin temperature must be finite" in capsys.readouterr().err
+
+
+def test_negative_grid_start_after_a_space_is_read_as_a_value(tmp_path):
+    # argparse alone reads "-5:40:0.1" as an option: "argument --grid: expected one argument"
+    out = tmp_path / "out"
+    base = ["simulate", "--mode", "lo", "--b-mt", "102.0", "--out", str(out)]
+    outputs = []
+    for grid in (["--grid=-5:40:0.1"], ["--grid", "-5:40:0.1"]):
+        assert build_parser().parse_args(base + grid).grid == "-5:40:0.1"
+        assert run(base + grid) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        for path in out.iterdir():
+            path.unlink()
+    assert len(outputs[0]) == 3
+    assert outputs[1] == outputs[0]
+
+
+def test_negative_non_finite_grid_start_reaches_the_grid_check(tmp_path, capsys):
+    args = ["simulate", "--b-mt", "101.5", "--grid", "-inf:0:1", "--out", str(tmp_path / "x")]
+    assert run(args) == 2
+    assert "grid start must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_of_a_non_finite_grid_is_a_parse_error(fit_input, tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was evaluated")
+
+    monkeypatch.setattr(transitions, "_hamiltonian", no_build)
+    with open(fit_input, "a", encoding="utf-8") as fh:
+        fh.write("inf,0.01\n")
+    assert run(["fit", str(fit_input), "--out", str(tmp_path / "r.json")]) == 3
+    assert f"{fit_input}: frequency grid must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty calibration file"),
+        ("# only a comment\n", "{path}: empty calibration file"),
+        ("current_a,b_mt\n33.0,95.7\n34.0\n", "{path}:3: malformed calibration row"),
+        ("current_a,b_mt\n33.0,95.7\n34.0,fast\n", "{path}:3: malformed calibration row"),
+    ],
+)
+def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "cal.csv"
+    path.write_text(text)
+    assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 3
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not (tmp_path / "cal.json").exists()

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvgslac import fitting
+from nvgslac import fitting, transitions
 from nvgslac.errors import ConvergenceError, ValidationError
 from nvgslac.fitting import (
     B_SCAN_STEP_MT,
@@ -149,22 +150,23 @@ def test_fit_width_broadening_recovered():
 def model_calls(monkeypatch):
     """Record the parameters of each model spectrum the fitter evaluates.
 
-    Every evaluation, counted or a curvature probe, looks up its field
-    stage exactly once, cached or not.
+    Every evaluation, counted or a curvature probe, weighs its field stage
+    exactly once, cached or not; so does every ``model_spectrum`` call.
     """
     calls = []
-    lookup = fitting._FieldStages.__call__
+    weigh = fitting._weigh
 
-    def counting_lookup(self, params):
+    def counting_weigh(stage, params):
         calls.append(params)
-        return lookup(self, params)
+        return weigh(stage, params)
 
-    monkeypatch.setattr(fitting._FieldStages, "__call__", counting_lookup)
+    monkeypatch.setattr(fitting, "_weigh", counting_weigh)
     return calls
 
 
 def test_fit_nonconvergence_raises(model_calls):
     data, _ = synthetic_spectrum(0.4, 101.5, 1.0, seed=9)
+    del model_calls[:]  # the data's own model spectrum
     # the field scan and the start grid are spent from the budget too
     with pytest.raises(ConvergenceError, match="30 evaluations spent"):
         fit_spectrum(data, FitParams(beta=0.0, b=101.45, width=1.0), max_evaluations=30)
@@ -177,6 +179,7 @@ def test_fit_field_scan_step_below_14n_spacing():
 
 def test_fit_n_evaluations_includes_field_scan(model_calls):
     data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    del model_calls[:]  # the data's own model spectrum
     result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
     # every model spectrum but the two curvature probes per free parameter
     # is a counted evaluation
@@ -186,16 +189,37 @@ def test_fit_n_evaluations_includes_field_scan(model_calls):
 
 @pytest.fixture
 def field_builds(monkeypatch):
-    """Record the field of every Hamiltonian the fitter builds."""
+    """Record the field of every Hamiltonian the fitter builds, one field at a time."""
     builds = []
-    build = fitting._hamiltonian
+    build = transitions._hamiltonian
 
     def counting_build(terms, b):
         builds.append(b)
         return build(terms, b)
 
-    monkeypatch.setattr(fitting, "_hamiltonian", counting_build)
+    monkeypatch.setattr(transitions, "_hamiltonian", counting_build)
     return builds
+
+
+def test_fit_forms_its_field_terms_once(monkeypatch):
+    near = gslac_field(C) + 0.1
+    cases = [
+        (synthetic_spectrum(0.3, 101.4, 1.0, seed=13)[0], FitParams(beta=0.0, b=101.35, width=1.0)),
+        (synthetic_spectrum(0.3, near, 1.2, seed=4)[0], FitParams(beta=0.0, b=near, width=1.2)),
+    ]
+    directions = []
+    field_terms = transitions._field_terms
+
+    def counting_terms(constants, direction):
+        directions.append(direction)
+        return field_terms(constants, direction)
+
+    monkeypatch.setattr(transitions, "_field_terms", counting_terms)
+    for data, start in cases:
+        del directions[:]
+        result = fit_spectrum(data, start)
+        assert result.n_evaluations > 100
+        assert len(directions) == 1
 
 
 def test_b_fixed_fit_builds_its_field_once(model_calls, field_builds):
@@ -236,17 +260,25 @@ def test_fit_field_cache_holds_at_most_its_cap(monkeypatch, field_builds):
     uncapped = fit_spectrum(data, start)
     n_fields = len(set(field_builds))
     del field_builds[:]
-    sizes = []
-    lookup = fitting._FieldStages.__call__
+    caches, sizes = [], []
+    weigh = fitting._weigh
 
-    def recording_lookup(self, params):
-        stage = lookup(self, params)
-        sizes.append(len(self.stages))
-        return stage
+    def recording_lru_cache(maxsize):
+        def wrap(function):
+            caches.append(functools.lru_cache(maxsize=maxsize)(function))
+            return caches[-1]
 
-    monkeypatch.setattr(fitting._FieldStages, "__call__", recording_lookup)
+        return wrap
+
+    def recording_weigh(stage, params):
+        sizes.append(caches[-1].cache_info().currsize)  # after the stage's lookup
+        return weigh(stage, params)
+
+    monkeypatch.setattr(fitting, "lru_cache", recording_lru_cache)
+    monkeypatch.setattr(fitting, "_weigh", recording_weigh)
     monkeypatch.setattr(fitting, "FIELD_CACHE_SIZE", 4)
     capped = fit_spectrum(data, start)
+    assert len(caches) == 1
     assert max(sizes) == 4
     assert len(field_builds) > n_fields  # dropped fields were solved again
     assert capped == uncapped

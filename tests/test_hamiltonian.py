@@ -351,3 +351,18 @@ def test_sweep_min_gap_between_adjacent_mixed_levels():
         j = s.labels.index((-1, 1))
         gaps.append(abs(s.energies[i] - s.energies[j]))
     assert abs(min(gaps) - 5.40) < 0.02
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d_g 2900\n", "{path}:1: expected 'key = value'"),  # no 'key value' form
+        ("d_g = 2900\n# comment\nd_g\n", "{path}:3: expected 'key = value'"),
+        ("d_g = 2900\nq = -5\nd_g = 2871\n", "{path}:3: duplicate constant 'd_g'"),
+    ],
+)
+def test_constants_file_line_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "constants.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message.format(path=path))):
+        parse_constants_file(path)

@@ -378,3 +378,33 @@ def test_track_transition_either_label_order():
     assert track_transition(tables, (1, 1), (0, 1)) == track_transition(tables, (0, 1), (1, 1))
     # a pair with no entry falls back to the level spacing in either order
     assert track_transition(tables, (1, 1), (1, 0)) == track_transition(tables, (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# b_mt=fast\nfreq_mhz,value\n1.0,0.1\n", "{path}:1: bad metadata value 'fast'"),
+        ("freq_mhz,value\n1.0,0.1\n2.0\n", "{path}:3: expected at least two columns"),
+        ("freq_mhz,value\n1.0,0.1\ninf,0.01\n", "{path}: frequency grid must be finite"),
+        ("freq_mhz,value\n-inf,0.1\n1.0,0.01\n", "{path}: frequency grid must be finite"),
+        ("freq_mhz,value\nnan,0.1\n1,0.01\n", "{path}: frequency grid must be strictly ascending"),
+    ],
+)
+def test_spectrum_csv_rejections_name_the_file(tmp_path, text, message):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message.format(path=path))):
+        read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([1.0, np.inf], "frequency grid must be finite"),
+        ([-np.inf, 1.0], "frequency grid must be finite"),
+        ([1.0, np.nan], "frequency grid must be strictly ascending"),  # checked first
+    ],
+)
+def test_measured_spectrum_rejects_a_non_finite_grid(grid, message):
+    with pytest.raises(ValidationError, match=message):
+        MeasuredSpectrum(grid=np.array(grid), values=np.array([0.1, 0.2]))

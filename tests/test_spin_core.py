@@ -146,3 +146,10 @@ def test_format_label_strings():
     assert format_label((-1, -1)) == "|-1,-1>"
     assert format_label((1, 0, 0.5)) == "|+1,0;+1/2>"
     assert format_label((0, -1, -0.5, 0.5)) == "|0,-1;-1/2,+1/2>"
+
+
+def test_label_count_must_match_the_dimension():
+    from nvgslac.spin_core import assign_labels
+
+    with pytest.raises(ValidationError, match="number of basis labels must equal the system dim"):
+        assign_labels(np.eye(9)[None], product_basis_labels(0)[:8])

@@ -33,9 +33,9 @@ from nvgslac.spin_core import (
     spin_matrices,
 )
 from nvgslac.transitions import (
+    FieldStages,
     dipole_elements,
     field_stage,
-    field_stages,
     transition_probabilities,
     transition_table,
 )
@@ -253,7 +253,7 @@ def test_stacked_labels_equal_the_greedy_bijection_on_every_system(monkeypatch):
     fields = 100.0 + 1e-3 * np.arange(5001)  # 100-105 mT in 1 uT steps
     for theta in (0.0, 0.3, 2.0):
         monkeypatch.setattr(spin_core, "_greedy_bijection", counting_greedy)
-        systems = [stage.system for stage in field_stages(C, fields, theta)]
+        systems = [stage.system for stage in FieldStages(C, theta)(fields)]
         monkeypatch.setattr(spin_core, "_greedy_bijection", greedy)
         for system in systems:
             assign = greedy((np.abs(system.vectors) ** 2).T)
@@ -286,7 +286,7 @@ def test_stack_across_a_chunk_boundary_is_bit_equal_to_single_solves(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     fields = np.linspace(101.5, 103.5, SOLVE_CHUNK + 5)
-    stages = list(field_stages(C, fields, 0.3, mode=mode))
+    stages = list(FieldStages(C, 0.3, mode)(fields))
     assert shapes == [(SOLVE_CHUNK, 9, 9), (5, 9, 9)]
     assert len(stages) == len(fields)
     for b, stage in zip(fields, stages):
@@ -314,4 +314,4 @@ def test_invalid_field_is_rejected_before_any_eigh(monkeypatch, fields, theta, n
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(ValidationError, match=named):
-        field_stages(C, fields, theta)  # the call checks; no stage is asked for
+        FieldStages(C, theta)(fields)  # the call checks; no stage is asked for

@@ -308,3 +308,23 @@ def test_population_stage_reuses_one_field_stage():
         )
     with pytest.raises(ValidationError, match="mid"):
         field_stage(system, "mid")
+
+
+def test_dipole_elements_need_product_basis_labels_of_the_right_dimension():
+    system = nv_system(101.0)
+    for labels, message in [
+        (None, "eigen-system must carry product-basis labels"),
+        (tuple(f"level {k}" for k in range(9)), "eigen-system must carry product-basis labels"),
+        (product_basis_labels(1)[:9], "label structure does not match system dimension"),
+    ]:
+        unlabeled = EigenSystem(system.energies, system.vectors, labels=labels)
+        with pytest.raises(ValidationError, match=message):
+            dipole_elements(unlabeled)
+
+
+def test_intensity_matrix_rejects_a_probability_matrix_of_the_wrong_shape():
+    system = nv_system(101.0)
+    p = transition_probabilities(dipole_elements(system))
+    for bad in (p[:8, :8], p[None], np.zeros((9, 10))):
+        with pytest.raises(ValidationError, match="probability matrix does not match"):
+            intensity_matrix(bad, system, beta=0.3)
