@@ -23,7 +23,8 @@ ensemble average builds and solves each such label sequence once and reuses
 its curve for every other draw with the same sequence (the carbon-free
 curve for every empty draw); the cost grows with the number of distinct
 sequences, not of draws, and the result is the same bits as solving every
-draw.  The reuse lasts one call.
+draw.  The reuse lasts one call.  The carbon-free table is solved once, before
+the first draw: it checks that the grid covers the band and gives that curve.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .hamiltonian import (
     PhysicalConstants,
     build_nv_hamiltonian,
 )
-from .spectrum import SpectrumModel, require_grid, synthesize
+from .spectrum import SpectrumModel, require_grid, require_grid_covers, synthesize
 from .spin_core import eigensolve, nv_spin_model, spin_matrices
 from .transitions import transition_table
 
@@ -250,25 +251,26 @@ def mc_average_spectrum(
     width: float = 1.0,
     *,
     grid,
-    mode: str | None = None,
+    mode: str,
     families=None,
 ) -> SpectrumModel:
     """Pointwise mean spectrum over random carbon-13 placements.
 
     ``families`` are the lattice families of :func:`load_families`; the
-    default is the packaged set.  Carbon
-    projections enter the population weighting uniformly (spectators).
-    ``ResourceLimitError`` is raised before the first draw if
-    ``cfg.iterations`` exceeds ``MAX_ITERATIONS``, and before any
-    Hamiltonian is built if a draw has more than ``MAX_N_C13_DEFAULT``
-    sites; a grid that is not nonempty, finite and 1-d is rejected before
-    the first draw.  Each distinct label sequence is solved once (see the
-    module docstring).  Returns the mean curve and its per-point standard
-    error; the same ``cfg`` gives the same result.  ``meta`` holds the
-    settings, the histogram of sites per draw (``n_c13_histogram[n]``
-    draws with n sites), ``curves_computed`` (distinct sequences, the
-    carbon-free one included) and ``draws_reused`` (draws that reused a
-    curve).
+    default is the packaged set.  Carbon projections enter the population
+    weighting uniformly (spectators).  Checks, in order: more than
+    ``MAX_ITERATIONS`` draws (``ResourceLimitError``); a grid that is not
+    nonempty, finite and 1-d; a grid that misses the solved carbon-free
+    lines widened by the families' largest principal hyperfine value
+    (``spectrum.require_grid_covers``); then the draws, and a draw with
+    more than ``MAX_N_C13_DEFAULT`` sites (``ResourceLimitError``), all
+    before any carbon-13 Hamiltonian is built.  Each distinct label
+    sequence is solved once (see the module docstring).  Returns the mean
+    curve and its per-point standard error; the same ``cfg`` gives the
+    same result.  ``meta`` holds the settings, the histogram of sites per
+    draw (``n_c13_histogram[n]`` draws with n sites), ``curves_computed``
+    (distinct sequences, the carbon-free one included) and
+    ``draws_reused`` (draws that reused a curve).
     """
     if cfg.iterations > MAX_ITERATIONS:
         raise ResourceLimitError(
@@ -277,6 +279,12 @@ def mc_average_spectrum(
     grid = require_grid(grid)
     if families is None:
         families = load_families()
+    base = build_nv_hamiltonian(constants, field_cfg)
+    table = transition_table(eigensolve(base), beta, mode=mode, b_mt=field_cfg.b)
+    # Carbon-13 satellites sit up to about the largest principal hyperfine
+    # value away from the carbon-free lines.
+    shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
+    require_grid_covers(grid, [table], width, mode, shift)
     # The build reads only the family labels of a placement, in order (a
     # site index is only range-checked, and sampled sites are in range), so
     # equal keys give equal Hamiltonians.  When sites of a family get their
@@ -296,17 +304,12 @@ def mc_average_spectrum(
             f"carbon-13 sites (largest: {max(over)} sites)"
         )
 
-    def curve(h):
-        table = transition_table(eigensolve(h), beta, mode=mode, b_mt=field_cfg.b)
-        return synthesize(table, width, grid).values
-
-    base = build_nv_hamiltonian(constants, field_cfg)
-    curves = {(): curve(base)}
+    curves = {(): synthesize(table, width, grid).values}
     for key, placement in first.items():
         if key:
-            curves[key] = curve(
-                build_full_hamiltonian(base, placement, families, field_cfg, constants)
-            )
+            h = build_full_hamiltonian(base, placement, families, field_cfg, constants)
+            table = transition_table(eigensolve(h), beta, mode=mode, b_mt=field_cfg.b)
+            curves[key] = synthesize(table, width, grid).values
     mean, stderr = _mean_and_stderr([curves[key] for key in keys])
     meta = {
         "iterations": cfg.iterations,

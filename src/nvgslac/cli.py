@@ -33,18 +33,17 @@ from .hamiltonian import (
     CONSTANT_UNITS,
     DEFAULT_CONSTANTS,
     FieldConfig,
-    build_nv_hamiltonian,
     parse_constants_file,
 )
 from .spectrum import (
     frequency_grid,
     read_spectrum_csv,
+    require_grid_covers,
     synthesize,
     transitions_to_csv,
     write_spectrum_csv,
 )
-from .spin_core import eigensolve
-from .transitions import FieldStages, population_stage, transition_table
+from .transitions import FieldStages, population_stage
 
 # Most fields one simulate sweep may cover; each writes one spectrum file.
 MAX_SWEEP_FIELDS = 100_000
@@ -109,19 +108,6 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _check_grid_covers(grid, tables, margin: float, mode: str) -> None:
-    centers = np.concatenate([table.freq_mhz for table in tables])
-    if not centers.size:
-        return
-    lo = centers.min() - margin
-    hi = centers.max() + margin
-    if grid[-1] < lo or grid[0] > hi:
-        raise ValidationError(
-            f"grid [{grid[0]:g}, {grid[-1]:g}] MHz does not overlap the {mode}-band "
-            f"transitions in [{lo:g}, {hi:g}] MHz"
-        )
-
-
 def _spectrum_meta(args, b: float) -> dict:
     return {
         "b_mt": b,
@@ -132,7 +118,7 @@ def _spectrum_meta(args, b: float) -> dict:
     }
 
 
-def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Path:
+def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> None:
     if fmt == "json":
         path = out_dir / f"{stem}.json"
         doc = {
@@ -146,7 +132,6 @@ def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Pat
     else:
         path = out_dir / f"{stem}.csv"
         write_spectrum_csv(path, spec, meta)
-    return path
 
 
 def cmd_simulate(args) -> int:
@@ -162,7 +147,7 @@ def cmd_simulate(args) -> int:
         table = population_stage(stage, args.beta, b_mt=b)
         tables.append(table)
         spectra.append(synthesize(table, args.width_mhz, grid))
-    _check_grid_covers(grid, tables, 20.0 * args.width_mhz, args.mode)
+    require_grid_covers(grid, tables, args.width_mhz, args.mode)
 
     for b, spec in zip(fields, spectra):
         _write_spectrum(
@@ -178,42 +163,26 @@ def cmd_mc13(args) -> int:
     constants = _load_constants(args.constants)
     grid = _parse_grid(args.grid)
     cfg = McConfig(iterations=args.iterations, occupancy=args.occupancy, seed=args.seed)
-    field_cfg = FieldConfig(b=args.b_mt, theta_deg=args.theta_deg)
-    # Carbon-13 satellites sit up to about the largest principal hyperfine
-    # value away from the carbon-free lines.
-    base = eigensolve(build_nv_hamiltonian(constants, field_cfg))
-    table = transition_table(base, args.beta, mode=args.mode, b_mt=args.b_mt)
-    families = load_families(args.families)  # once: parsing warns about custom sets
-    shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
-    _check_grid_covers(grid, [table], 20.0 * args.width_mhz + shift, args.mode)
     spec = mc_average_spectrum(
         cfg,
-        field_cfg,
+        FieldConfig(b=args.b_mt, theta_deg=args.theta_deg),
         constants=constants,
         beta=args.beta,
         width=args.width_mhz,
         grid=grid,
         mode=args.mode,
-        families=families,
+        families=load_families(args.families),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean_only = replace(spec, meta=None, stderr=None)
-    _write_spectrum(
-        out_dir,
-        f"mc_spectrum_{args.mode}_b{args.b_mt:.6g}",
-        mean_only,
-        _spectrum_meta(args, args.b_mt),
-        args.format,
-    )
-    stderr_spec = replace(spec, meta=None)
-    _write_spectrum(
-        out_dir,
-        f"mc_stderr_{args.mode}_b{args.b_mt:.6g}",
-        stderr_spec,
-        _spectrum_meta(args, args.b_mt),
-        args.format,
-    )
+    for name, stderr in (("spectrum", None), ("stderr", spec.stderr)):
+        _write_spectrum(
+            out_dir,
+            f"mc_{name}_{args.mode}_b{args.b_mt:.6g}",
+            replace(spec, meta=None, stderr=stderr),
+            _spectrum_meta(args, args.b_mt),
+            args.format,
+        )
     provenance = _provenance(args, constants, "mc13")
     provenance["mc"] = spec.meta
     _write_json(out_dir / "provenance.json", provenance)
@@ -283,13 +252,13 @@ def cmd_polarization(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("b_mt,orientation,alignment,n_plus,n_zero,n_minus,low_confidence\n")
-        for b, report in rows:
-            pops = ",".join("%.9g" % p for p in report.populations)
-            fh.write(
-                "%.9g,%.9g,%.9g,%s,%d\n"
-                % (b, report.orientation, report.alignment, pops, int(report.low_confidence))
-            )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow("b_mt orientation alignment n_plus n_zero n_minus low_confidence flags".split())
+        writer.writerows(
+            ["%.9g" % x for x in (b, r.orientation, r.alignment, *r.populations)]
+            + [int(r.low_confidence), ";".join(r.flags)]
+            for b, r in rows
+        )
     return 0
 
 

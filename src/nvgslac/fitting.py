@@ -10,16 +10,19 @@ parameter and is solved in closed form at every evaluation, so scaling
 data and model together does not move the optimum.
 
 More than 0.5 mT from the anticrossing the field is freed within +-0.5 mT
-of its start value (not below 0).  The starts are then found in two
-stages.  First a 1-d scan of the field over its bounds, in steps of at most
-``B_SCAN_STEP_MT`` (0.05 mT) with spin temperature and width at their
-start values, picks the field that best matches the data.  Then a coarse
-beta x width grid is scored at that field, and Nelder-Mead runs from the
-best of those starts.  The scan step must stay below the 14N line spacing
-in field units, |a_par| / gamma_e = 0.076 mT.  Scored at a field about one
-spacing off, the grid favours one broad line at a saturated spin
-temperature over the three resolved lines, and Nelder-Mead does not leave
-that basin; a scan as coarse as the spacing itself can still land there.
+of its start value (within [0, ``MAX_FIELD_MT``]).  The starts are then
+found in two stages.  First a 1-d scan of the field over its bounds, in
+steps of at most ``B_SCAN_STEP_MT`` (0.05 mT) with width at its start
+value and spin temperature at 0, picks the field that best matches the
+data; at 0 the 14N triplet is symmetric, while a start value of the wrong
+sign mirrors it, picks the wrong field and ends the fit at the opposite
+bound.  Then a coarse beta x width grid is scored at that field, and
+Nelder-Mead runs from the best of those starts.  The scan step must stay
+below the 14N line spacing in field units, |a_par| / gamma_e = 0.076 mT.
+Scored at a field about one spacing off, the grid favours one broad line
+at a saturated spin temperature over the three resolved lines, and
+Nelder-Mead does not leave that basin; a scan as coarse as the spacing
+itself can still land there.
 
 Within 0.5 mT of the anticrossing the field is held fixed (supplied by the
 coil-current calibration) and the electron-manifold population split is
@@ -39,7 +42,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError, ValidationError
-from .hamiltonian import DEFAULT_CONSTANTS, FieldConfig, PhysicalConstants, gslac_field
+from .hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, FieldConfig, PhysicalConstants, gslac_field
 from .spectrum import MeasuredSpectrum, SpectrumModel, synthesize
 from .spin_core import format_label
 from .transitions import FieldStage, FieldStages, TransitionTable, population_stage
@@ -191,12 +194,12 @@ def fit_spectrum(
 ) -> FitResult:
     """Fit one measured sweep by derivative-free chi-squared minimization.
 
-    The field is freed (within +-0.5 mT, not below 0) only when the initial
+    The field is freed (within +-0.5 mT and [0, ``MAX_FIELD_MT``]) only when the initial
     value lies more than 0.5 mT from the anticrossing; otherwise it stays
     fixed and the manifold split is freed.  When the field is free, it is
     first scanned over its bounds in steps of at most ``B_SCAN_STEP_MT``
     (0.05 mT, below the 0.076 mT 14N line spacing in field units) with
-    beta and width at their initial values, and the best-matching field
+    beta at 0 and width at its initial value, and the best-matching field
     becomes the start field.  Candidate starts then come from a
     ``START_GRID`` (5 x 5) beta x width grid at the start field; Nelder-Mead
     is run from the best ``N_RESTARTS`` (2) of them (step tolerance 1e-4,
@@ -235,10 +238,9 @@ def fit_spectrum(
     field_stage = lru_cache(maxsize=FIELD_CACHE_SIZE)(stages.at)
     b_free = abs(initial.b - gslac_field(constants)) > B_FREE_THRESHOLD_MT
     names = ["beta", "width", "b" if b_free else "manifold_split"]
-    bounds = {  # the field's bounds apply only when it is free
-        **DEFAULT_BOUNDS,
-        "b": (max(initial.b - B_FREE_THRESHOLD_MT, 0.0), initial.b + B_FREE_THRESHOLD_MT),
-    }
+    b_lo = max(initial.b - B_FREE_THRESHOLD_MT, 0.0)
+    b_hi = min(initial.b + B_FREE_THRESHOLD_MT, MAX_FIELD_MT)
+    bounds = {**DEFAULT_BOUNDS, "b": (b_lo, b_hi)}  # the field's bounds apply only when it is free
 
     eval_count = 0
     best = (math.inf, None, 0.0, None, None)  # penalized_chi2's tuple of the best counted one
@@ -291,16 +293,15 @@ def fit_spectrum(
         """(objective, vector) pairs, for as many vectors as the budget allows."""
         return [(objective(x), x) for x in vectors[: max(0, max_evaluations - eval_count)]]
 
-    # With the field free, scan it over its bounds first: scored at the
-    # start field, the grid below favours one broad line whenever the start
-    # is about one 14N spacing off (see the module docstring).
-    b_starts = [initial.b]
+    # With the field free, scan it over its bounds first, at beta = 0: scored
+    # at the start field, the grid below favours one broad line whenever the
+    # start is about one 14N spacing off (see the module docstring).
+    b_starts, beta_scan = [initial.b], initial.beta
     if b_free:
-        b_lo, b_hi = bounds["b"]
         n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
-        b_starts = np.linspace(b_lo, b_hi, n_scan)
+        b_starts, beta_scan = np.linspace(b_lo, b_hi, n_scan), 0.0
     scan = sorted(
-        score([start_vector(initial.beta, initial.width, b0) for b0 in b_starts]),
+        score([start_vector(beta_scan, initial.width, b0) for b0 in b_starts]),
         key=itemgetter(0),
     )
     b_start = unpack(scan[0][1]).b if scan else initial.b

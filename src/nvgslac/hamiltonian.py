@@ -62,6 +62,8 @@ from .spin_core import (
 KAPPA2_SIGNS = ("minus", "plus")
 # Most fields one (n, 9, 9) stack holds: about 1.3 MB per complex array.
 SOLVE_CHUNK = 1024
+# Largest field magnitude (mT), 1,000x the GSLAC field; gamma_e * B overflows near 1e307.
+MAX_FIELD_MT = 1e5
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,13 @@ def parse_constants_file(path) -> PhysicalConstants:
 
 
 def _valid_magnitude(b):
-    """The field-magnitude rule of ``FieldConfig``, elementwise: finite and >= 0 mT."""
-    return np.isfinite(b) & (b >= 0)
+    """The field-magnitude rule of ``FieldConfig``, elementwise: 0 <= b <= ``MAX_FIELD_MT`` mT."""
+    return (b >= 0) & (b <= MAX_FIELD_MT)
 
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static field: magnitude (mT) and orientation relative to the NV axis."""
+    """Static field: magnitude (0 to ``MAX_FIELD_MT`` mT) and orientation relative to the NV axis."""
 
     b: float
     theta_deg: float = 0.0
@@ -142,7 +144,8 @@ class FieldConfig:
 
     def __post_init__(self):
         if not _valid_magnitude(self.b):
-            raise ValidationError(f"field magnitude must be >= 0, got {self.b!r}")
+            rule = f"<= {MAX_FIELD_MT:g} mT" if self.b > MAX_FIELD_MT else ">= 0"
+            raise ValidationError(f"field magnitude must be {rule}, got {self.b!r}")
         if not 0.0 <= self.theta_deg < 180.0:
             raise ValidationError(f"theta must lie in [0, 180), got {self.theta_deg!r}")
         if not 0.0 <= self.phi_deg < 360.0:

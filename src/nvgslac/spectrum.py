@@ -87,6 +87,22 @@ def require_grid(grid) -> np.ndarray:
     return grid
 
 
+def require_grid_covers(grid, tables, width: float, mode: str, shift: float = 0.0) -> None:
+    """Raise unless the grid overlaps the tables' lines (if any), widened by 20 widths and by
+    ``shift`` MHz, where lines not in the tables may sit (carbon-13 satellites)."""
+    centers = np.concatenate([table.freq_mhz for table in tables])
+    if not centers.size:
+        return
+    margin = 20.0 * width + shift
+    lo = centers.min() - margin
+    hi = centers.max() + margin
+    if grid[-1] < lo or grid[0] > hi:
+        raise ValidationError(
+            f"grid [{grid[0]:g}, {grid[-1]:g}] MHz does not overlap the {mode}-band "
+            f"transitions in [{lo:g}, {hi:g}] MHz"
+        )
+
+
 def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     """One Lorentzian per table entry, common width, amplitude = intensity.
 

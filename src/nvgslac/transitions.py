@@ -42,7 +42,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import NV_N14_LABELS, FieldConfig, _field_terms, _hamiltonian, solve_fields
+from .hamiltonian import (
+    MAX_FIELD_MT, NV_N14_LABELS, FieldConfig, _field_terms, _hamiltonian, solve_fields
+)
 from .spin_core import EigenSystem, eigensolve_stack, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
@@ -241,7 +243,7 @@ class FieldStages:
         return (s for c in chunks for s in _field_stages(c, self.mode, indexed=self.indexed))
 
     def at(self, b: float) -> FieldStage:
-        if not 0.0 <= b < math.inf:  # FieldConfig's rule, without building one per field
+        if not 0.0 <= b <= MAX_FIELD_MT:  # FieldConfig's rule, without building one per field
             FieldConfig(b, self.theta_deg)  # names the bad field
         systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
         return _field_stages(systems, self.mode, indexed=self.indexed)[0]

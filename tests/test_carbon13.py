@@ -429,6 +429,49 @@ def test_mc_grid_checked_before_the_first_draw(monkeypatch):
     assert len(calls) == 3
 
 
+def test_mc_mode_is_required():
+    with pytest.raises(TypeError, match="mode"):
+        mc_average_spectrum(McConfig(iterations=2), FIELD, grid=GRID)
+
+
+def test_mc_grid_that_misses_the_band_is_refused_before_the_first_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a placement was drawn before the grid coverage check")
+
+    monkeypatch.setattr(carbon13, "sample_placement", no_draw)
+    cfg = McConfig(iterations=20, seed=2)
+    with pytest.raises(ValidationError) as info:
+        mc_average_spectrum(cfg, FIELD, grid=np.arange(0.0, 40.0, 0.5), mode="hi")
+    centers = nv_table(FIELD.b, mode="hi").freq_mhz
+    shift = max(max(abs(f.tensor.axx), abs(f.tensor.ayy), abs(f.tensor.azz)) for f in load_families())
+    lo, hi = centers.min() - 20.0 - shift, centers.max() + 20.0 + shift
+    assert str(info.value) == (
+        f"grid [0, 39.5] MHz does not overlap the hi-band transitions in [{lo:g}, {hi:g}] MHz"
+    )
+
+
+def test_mc_grid_on_carbon13_satellites_is_accepted():
+    # the satellites lie beyond the carbon-free lines' 20-width margin
+    grid = np.arange(5800.0, 5900.0, 0.5)
+    centers = nv_table(FIELD.b, mode="hi").freq_mhz
+    assert grid[0] > centers.max() + 20.0
+    spec = mc_average_spectrum(McConfig(iterations=2), FIELD, grid=grid, mode="hi")
+    assert spec.values.shape == grid.shape
+
+
+def test_build_rejects_a_site_index_beyond_the_multiplicity():
+    families = load_families()
+    family = families[0]
+    placement = C13Placement(occupied=((family.label, family.multiplicity),))
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, FIELD)
+    with pytest.raises(ValidationError) as info:
+        build_full_hamiltonian(base, placement, families, FIELD)
+    assert str(info.value) == (
+        f"site index {family.multiplicity} out of range for family {family.label!r} "
+        f"(multiplicity {family.multiplicity})"
+    )
+
+
 def test_mc_standard_error_scaling():
     kwargs = dict(beta=0.0, width=1.0, grid=GRID, mode="lo")
     small = mc_average_spectrum(McConfig(iterations=100, occupancy=0.011, seed=11), FIELD, **kwargs)

@@ -1,14 +1,16 @@
+import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from nvgslac import carbon13, transitions
+from nvgslac import carbon13, hamiltonian, transitions
 from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
 from nvgslac.cli import MAX_SWEEP_FIELDS, build_parser, main
 from nvgslac.fitting import FitParams, model_spectrum
-from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
+from nvgslac.hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, FieldConfig, build_nv_hamiltonian
 from nvgslac.spectrum import (
     MeasuredSpectrum,
     frequency_grid,
@@ -609,3 +611,151 @@ def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):
     assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 3
     assert f"error: {message.format(path=path)}" in capsys.readouterr().err
     assert not (tmp_path / "cal.json").exists()
+
+
+def test_mc13_builds_the_carbon_free_hamiltonian_once(tmp_path, monkeypatch):
+    built = []  # the field of every 9x9 H that build_nv_hamiltonian sums
+    real = hamiltonian._hamiltonian
+
+    def counting(terms, b):
+        built.append(b)
+        return real(terms, b)
+
+    monkeypatch.setattr(hamiltonian, "_hamiltonian", counting)
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--iterations", "20"]
+    assert run(args + ["--occupancy", "0.05", "--seed", "2", "--out", str(tmp_path)]) == 0
+    assert built == [102.4]
+
+
+def test_mc13_iterations_cap_is_reported_before_a_grid_miss(tmp_path, capsys):
+    args = ["mc13", "--b-mt", "102.4", "--grid", "0:40:0.5", "--out", str(tmp_path / "x")]
+    assert run(args + ["--iterations", str(MAX_ITERATIONS + 1)]) == 5
+    assert f"cap of {MAX_ITERATIONS}" in capsys.readouterr().err
+
+
+def test_mc13_bad_family_file_is_reported_before_a_bad_beta(tmp_path, capsys):
+    families = tmp_path / "families.csv"
+    families.write_text("")
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--beta", "nan"]
+    assert run(args + ["--families", str(families), "--out", str(tmp_path / "x")]) == 3
+    assert f"{families}: empty family file" in capsys.readouterr().err
+
+
+def test_mc13_json_keeps_the_stderr_key_to_the_stderr_file(tmp_path):
+    args = ["mc13", "--b-mt", "102.4", "--mode", "lo", "--grid", "0:40:0.5", "--iterations", "20"]
+    args += ["--occupancy", "0.05", "--seed", "2", "--format", "json", "--out", str(tmp_path)]
+    assert run(args) == 0
+    mean = json.loads((tmp_path / "mc_spectrum_lo_b102.4.json").read_text())
+    stderr = json.loads((tmp_path / "mc_stderr_lo_b102.4.json").read_text())
+    assert sorted(mean) == ["grid_mhz", "meta", "values"]
+    assert sorted(stderr) == ["grid_mhz", "meta", "stderr", "values"]
+    assert mean["values"] == stderr["values"] and mean["meta"] == stderr["meta"]
+    assert len(stderr["stderr"]) == len(stderr["grid_mhz"]) == 81
+    assert max(stderr["stderr"]) > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--b-mt", "1e307", "--mode", "lo", "--grid", "0:10:1"],
+        ["simulate", "--b-start", "1e306", "--b-stop", "2e306", "--b-step", "1e306", "--grid", "0:10:1"],
+        ["mc13", "--b-mt", "1e307", "--grid", "0:10:1", "--iterations", "2"],
+        ["fit", "INPUT", "--b-mt", "1e307"],
+    ],
+)
+def test_field_above_the_cap_is_named_without_a_warning(fit_input, tmp_path, capsys, args):
+    args = [str(fit_input) if arg == "INPUT" else arg for arg in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + ["--out", str(tmp_path / "x")]) == 2
+    value = "1e+306" if "--b-start" in args else "1e+307"
+    assert f"field magnitude must be <= {MAX_FIELD_MT:g} mT, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x").is_file() and not any((tmp_path / "x").glob("*"))
+
+
+def _polarization_row(tmp_path, areas, strengths):
+    doc = {
+        "params": {"beta": 0.0, "b_mt": 101.0, "width_mhz": 1.0},
+        "peak_areas": areas,
+        "peak_strengths": strengths,
+    }
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    assert run(["polarization", str(tmp_path / "r.json"), "--out", str(tmp_path / "p.csv")]) == 0
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines[0] == "b_mt,orientation,alignment,n_plus,n_zero,n_minus,low_confidence,flags"
+    assert len(lines) == 2
+    return lines[1]
+
+
+def test_polarization_writes_a_missing_component_flag(tmp_path):
+    row = _polarization_row(
+        tmp_path, {"|0,+1>": 1.0, "|0,0>": 1.0}, {"|0,+1>": 2.0, "|0,0>": 2.0}
+    )
+    assert row == '101,0.612372436,-0.353553391,0.5,0.5,0,0,"missing_component:|0,-1>"'
+    assert next(csv.reader([row]))[-1] == "missing_component:|0,-1>"
+
+
+def test_polarization_writes_a_no_population_flag(tmp_path):
+    row = _polarization_row(tmp_path, {}, {})
+    fields = next(csv.reader([row]))
+    assert fields[:7] == ["101", "0", "0", "0", "0", "0", "1"]
+    assert fields[7].split(";") == [
+        "missing_component:|0,+1>",
+        "missing_component:|0,0>",
+        "missing_component:|0,-1>",
+        "no_population",
+    ]
+
+
+def test_polarization_row_without_flags_ends_in_an_empty_column(tmp_path):
+    row = _polarization_row(
+        tmp_path,
+        {"|0,+1>": 1.0, "|0,0>": 1.0, "|0,-1>": 1.0},
+        {"|0,+1>": 2.0, "|0,0>": 2.0, "|0,-1>": 2.0},
+    )
+    assert row.endswith(",0,")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--b-mt", "95", "--grid", "0:40"], "--grid expects start:stop:step, got '0:40'"),
+        (["--b-mt", "95", "--grid", "a:b:c"], "--grid expects numbers, got 'a:b:c'"),
+        (
+            ["--b-mt", "95", "--b-start", "94", "--grid", "5510:5550:0.1"],
+            "--b-mt and --b-start/--b-stop are mutually exclusive",
+        ),
+        (
+            ["--b-start", "94", "--grid", "5510:5550:0.1"],
+            "provide either --b-mt or all of --b-start/--b-stop/--b-step",
+        ),
+        (
+            ["--b-start", "95", "--b-stop", "94", "--b-step", "0.5", "--grid", "5510:5550:0.1"],
+            "--b-stop must not be below --b-start",
+        ),
+    ],
+)
+def test_simulate_rejections_name_the_option(tmp_path, capsys, args, message):
+    assert run(["simulate", *args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_under_a_regular_file_is_an_os_error(tmp_path, capsys):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("not a directory\n")
+    args = ["simulate", "--b-mt", "95", "--grid", "5510:5550:0.1", "--out", str(blocker / "sim")]
+    assert run(args) == 1
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_calibrate_skips_blank_rows(tmp_path):
+    path = tmp_path / "cal.csv"
+    path.write_text("current_a,b_mt\n1,2.9\n\n , \n2,5.8\n")
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["n_points"] == 2
+    assert doc["slope_mt_per_a"] == pytest.approx(2.9)
+    assert doc["fit_range_a"] == [1.0, 2.0]

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nvgslac.fitting import (
     reduced_chi2,
     write_fit_report,
 )
-from nvgslac.hamiltonian import DEFAULT_CONSTANTS, gslac_field
+from nvgslac.hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, gslac_field
 from nvgslac.spectrum import MeasuredSpectrum
 
 C = DEFAULT_CONSTANTS
@@ -96,6 +97,30 @@ def test_fit_round_trip_far_from_gslac(offset_mt):
     assert abs(p.width - 1.0) / 1.0 < 0.05
     assert result.chi2_red <= 1.2 * sigma**2
     assert "b_fixed_near_gslac" not in result.flags
+
+
+@pytest.mark.parametrize(
+    "truth, beta0",
+    [((0.45, 101.5, 1.0, 7), -2.0), ((0.45, 101.5, 1.0, 7), -1.0), ((-0.6, 101.2, 0.9, 3), 2.0)],
+)
+def test_fit_started_at_the_wrong_sign_of_beta(truth, beta0):
+    # scanned at the start beta, the mirrored 14N triplet picked the wrong
+    # field and the fit ended at the opposite beta bound with chi2 ~ 70 sigma^2
+    beta, b, width, seed = truth
+    data, sigma = synthetic_spectrum(beta, b, width, seed=seed)
+    result = fit_spectrum(data, FitParams(beta=beta0, b=b + 0.05, width=1.0))
+    p = result.params
+    assert abs(p.beta - beta) <= 0.05 * abs(beta), p
+    assert abs(p.b - b) <= 0.01, p
+    assert abs(p.width - width) <= 0.05 * width, p
+    assert result.chi2_red <= 1.2 * sigma**2
+
+
+def test_fit_field_bounds_stop_at_the_field_cap():
+    data, sigma = synthetic_spectrum(0.45, MAX_FIELD_MT - 0.1, 1.0, seed=7, step=0.1)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=MAX_FIELD_MT - 0.05, width=1.0))
+    assert MAX_FIELD_MT - 0.15 <= result.params.b <= MAX_FIELD_MT
+    assert result.chi2_red <= 1.2 * sigma**2
 
 
 def test_fit_beta_zero_gives_equal_areas():
@@ -374,6 +399,8 @@ def test_orientation_alignment_scale_invariant(pops, scale):
 def test_orientation_alignment_validation():
     with pytest.raises(ValidationError):
         orientation((0.0, 0.0, 0.0))
+    with pytest.raises(ValidationError, match=re.escape("three values (n_+1, n_0, n_-1)")):
+        orientation((0.5, 0.5))
     with pytest.raises(ValidationError):
         alignment((-1.0, 1.0, 1.0))
 

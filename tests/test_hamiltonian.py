@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from nvgslac import hamiltonian
 from nvgslac.errors import ParseError, ValidationError
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
+    MAX_FIELD_MT,
     FieldConfig,
     HyperfineTensor,
     NV_N14_LABELS,
@@ -26,6 +29,7 @@ from nvgslac.hamiltonian import (
     truncated_hamiltonian,
 )
 from nvgslac.spin_core import embed, eigensolve_stack, nv_spin_model, spin_matrices
+from nvgslac.transitions import FieldStages
 
 
 def sz_plus_iz():
@@ -81,10 +85,27 @@ def test_constants_file_rejects_non_finite_number(tmp_path, value):
 def test_field_config_validation():
     with pytest.raises(ValidationError):
         FieldConfig(b=-1.0)
+    assert FieldConfig(b=MAX_FIELD_MT).b == MAX_FIELD_MT
+    for b in (np.nextafter(MAX_FIELD_MT, np.inf), 1e307, np.inf):
+        with pytest.raises(ValidationError, match=re.escape(f"must be <= {MAX_FIELD_MT:g} mT, got {b!r}")):
+            FieldConfig(b=b)
+    with pytest.raises(ValidationError, match="must be >= 0, got nan"):
+        FieldConfig(b=np.nan)
     with pytest.raises(ValidationError):
         FieldConfig(b=1.0, theta_deg=180.0)
     with pytest.raises(ValidationError):
         FieldConfig(b=1.0, phi_deg=-5.0)
+
+
+def test_field_stages_refuse_a_field_above_the_cap():
+    stages = FieldStages(DEFAULT_CONSTANTS, mode="hi")
+    assert stages.at(MAX_FIELD_MT).system.energies.size == 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="got 1e\\+307"):
+            stages.at(1e307)
+        with pytest.raises(ValidationError, match="got 1e\\+307"):
+            next(FieldStages(DEFAULT_CONSTANTS, mode="hi")([95.0, 1e307]))
 
 
 def one_expression_hamiltonian(c, b, theta_deg, phi_deg):
@@ -248,6 +269,12 @@ def test_analytic_eigenstates_basics():
         # orthogonality within each mixed pair
         assert abs(np.vdot(v[:, 2], v[:, 3])) < 1e-12
         assert abs(np.vdot(v[:, 4], v[:, 5])) < 1e-12
+
+
+def test_analytic_eigenstates_need_a_transverse_coupling():
+    c = dataclasses.replace(DEFAULT_CONSTANTS, a_perp=0.0)
+    with pytest.raises(ValidationError, match="transverse hyperfine coupling must be nonzero"):
+        analytic_eigenstates(c, 90.0)
 
 
 def test_analytic_eigenstates_are_eigenvectors():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from nvgslac.spectrum import (
     frequency_grid,
     lorentzian,
     read_spectrum_csv,
+    require_grid_covers,
     spectrum_to_csv,
     synthesize,
     track_transition,
@@ -408,3 +410,22 @@ def test_spectrum_csv_rejections_name_the_file(tmp_path, text, message):
 def test_measured_spectrum_rejects_a_non_finite_grid(grid, message):
     with pytest.raises(ValidationError, match=message):
         MeasuredSpectrum(grid=np.array(grid), values=np.array([0.1, 0.2]))
+
+
+def test_grid_coverage_margin_is_twenty_widths_plus_the_shift():
+    table = nv_table(95.0, mode="hi")
+    top = table.freq_mhz.max()
+    width = 0.5
+    require_grid_covers(np.array([top + 10.0, top + 20.0]), [table], width, "hi")
+    beyond = np.array([top + 10.5, top + 20.0])
+    with pytest.raises(ValidationError, match=re.escape(f"[{top + 10.5:g}, {top + 20:g}] MHz")):
+        require_grid_covers(beyond, [table], width, "hi")
+    require_grid_covers(beyond, [table], width, "hi", shift=1.0)
+    columns = ("i", "j", "freq_mhz", "probability", "intensity")
+    empty = dataclasses.replace(table, **{name: getattr(table, name)[:0] for name in columns})
+    require_grid_covers(np.array([0.0, 1.0]), [empty], width, "hi")
+
+
+def test_measured_spectrum_rejects_unequal_lengths():
+    with pytest.raises(ValidationError, match="equal length"):
+        MeasuredSpectrum(grid=np.array([1.0, 2.0, 3.0]), values=np.array([0.0, 0.0]))

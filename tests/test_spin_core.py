@@ -78,6 +78,8 @@ def test_embed_errors():
         embed(sz, 2, (3, 3))
     with pytest.raises(ValidationError):
         embed(sz, 1, (3, 2))
+    with pytest.raises(ValidationError, match="operator must be a square matrix"):
+        embed(sz[:, :2], 0, (3, 3))
 
 
 def test_eigensolve_diagonal_and_pauli():
