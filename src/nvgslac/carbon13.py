@@ -260,9 +260,10 @@ def mc_average_spectrum(
     default is the packaged set.  Carbon projections enter the population
     weighting uniformly (spectators).  Checks, in order: more than
     ``MAX_ITERATIONS`` draws (``ResourceLimitError``); a grid that is not
-    nonempty, finite and 1-d; a grid that misses the solved carbon-free
-    lines widened by the families' largest principal hyperfine value
-    (``spectrum.require_grid_covers``); then the draws, and a draw with
+    nonempty, finite and 1-d; a width that is not positive and finite (by
+    synthesizing the solved carbon-free curve); a grid that misses the
+    carbon-free lines widened by the families' largest principal hyperfine
+    value (``spectrum.require_grid_covers``); then the draws, and a draw with
     more than ``MAX_N_C13_DEFAULT`` sites (``ResourceLimitError``), all
     before any carbon-13 Hamiltonian is built.  Each distinct label
     sequence is solved once (see the module docstring).  Returns the mean
@@ -281,6 +282,7 @@ def mc_average_spectrum(
         families = load_families()
     base = build_nv_hamiltonian(constants, field_cfg)
     table = transition_table(eigensolve(base), beta, mode=mode, b_mt=field_cfg.b)
+    curves = {(): synthesize(table, width, grid).values}  # names a bad width
     # Carbon-13 satellites sit up to about the largest principal hyperfine
     # value away from the carbon-free lines.
     shift = max((np.abs(f.tensor.as_matrix()).max() for f in families), default=0.0)
@@ -304,7 +306,6 @@ def mc_average_spectrum(
             f"carbon-13 sites (largest: {max(over)} sites)"
         )
 
-    curves = {(): synthesize(table, width, grid).values}
     for key, placement in first.items():
         if key:
             h = build_full_hamiltonian(base, placement, families, field_cfg, constants)

@@ -1,33 +1,28 @@
 """Spectral fitting, field calibration and nuclear polarization extraction.
 
-The fit minimizes the reduced chi-squared
+The fit minimizes the squared residual data - s* model over spin
+temperature, linewidth and (away from the level anticrossing) the field.
+The amplitude s* is linear and projected out in closed form (variable
+projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), the
+non-negative least-squares scale at every evaluation, so scaling data and
+model together does not move the optimum.  A bounded trust-region solver
+(``scipy.optimize.least_squares``, trf) searches the projected residual;
+standard errors come from its final Jacobian.
 
-    chi2 = (1/N) sum (d_i - f_i)^2,
-
-over spin temperature, linewidth, and (away from the level anticrossing)
-the field value, using Nelder-Mead.  The overall amplitude is a linear
-parameter and is solved in closed form at every evaluation, so scaling
-data and model together does not move the optimum.
-
-More than 0.5 mT from the anticrossing the field is freed within +-0.5 mT
-of its start value (within [0, ``MAX_FIELD_MT``]).  The starts are then
-found in two stages.  First a 1-d scan of the field over its bounds, in
-steps of at most ``B_SCAN_STEP_MT`` (0.05 mT) with width at its start
-value and spin temperature at 0, picks the field that best matches the
-data; at 0 the 14N triplet is symmetric, while a start value of the wrong
-sign mirrors it, picks the wrong field and ends the fit at the opposite
-bound.  Then a coarse beta x width grid is scored at that field, and
-Nelder-Mead runs from the best of those starts.  The scan step must stay
-below the 14N line spacing in field units, |a_par| / gamma_e = 0.076 mT.
-Scored at a field about one spacing off, the grid favours one broad line
-at a saturated spin temperature over the three resolved lines, and
-Nelder-Mead does not leave that basin; a scan as coarse as the spacing
-itself can still land there.
+More than 0.5 mT from the anticrossing the field is free within +-0.5 mT
+of its start.  A 1-d scan over those bounds, in steps of at most
+``B_SCAN_STEP_MT`` (0.05 mT) with the start width and spin temperature
+0, picks the start field: at 0 the 14N triplet is symmetric, while a
+start value of the wrong sign mirrors it and picks the wrong field.  A
+coarse beta x width grid is then scored at that field, and the solver
+runs from its best points.  The scan step must stay below the 14N line
+spacing in field units, |a_par| / gamma_e = 0.076 mT: scored about one
+spacing off, the grid favours one broad line at a saturated spin
+temperature, a basin a local search does not leave.
 
 Within 0.5 mT of the anticrossing the field is held fixed (supplied by the
 coil-current calibration) and the electron-manifold population split is
-freed instead; the field scan is skipped and the grid is scored at the
-start field.
+freed instead; the grid is scored at the start field.
 """
 
 from __future__ import annotations
@@ -36,10 +31,10 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, ValidationError
 from .hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, FieldConfig, PhysicalConstants, gslac_field
@@ -52,9 +47,16 @@ B_FREE_THRESHOLD_MT = 0.5
 # = 2.14 MHz / 28.0 MHz/mT = 0.076 mT (see the module docstring).
 B_SCAN_STEP_MT = 0.05
 GSLAC_CONFIDENCE_WINDOW_MT = 0.15
-# Start search: a beta x width scoring grid, and Nelder-Mead from the best starts.
+# Start search: a beta x width scoring grid, and a least-squares search from
+# each of the best starts.
 START_GRID = (5, 5)
 N_RESTARTS = 2
+# Relative difference steps of the search's Jacobian.  Intensities under 1e-6 of
+# the largest are dropped, so the m_S = -1 share 1 - manifold_split leaves the
+# model within ~1e-5 of 1.0, where a 1e-6 step would see no slope.
+DIFF_STEPS = {"beta": 1e-6, "width": 1e-6, "b": 1e-6, "manifold_split": 1e-4}
+# A parameter within this many finite-difference steps of a bound is flagged at_bound.
+BOUND_STEPS = 10
 # Field stages one fit keeps, least recently used dropped first.  A 9x9 stage
 # holds about 4.7 kB, so whatever the evaluation budget a fit keeps under 5 MB.
 FIELD_CACHE_SIZE = 1024
@@ -82,8 +84,9 @@ class FitResult:
 
     ``peak_areas`` maps the nominal lower-state label to the fitted area
     of all transitions starting there; ``peak_strengths`` holds the
-    corresponding summed transition probabilities.  ``curvatures`` are
-    one-dimensional chi-squared curvature estimates at the optimum.
+    corresponding summed transition probabilities.  ``standard_errors``
+    holds each free parameter's; ``evaluation_split`` divides
+    ``n_evaluations`` into scan, grid and search (see :func:`fit_spectrum`).
     """
 
     params: FitParams
@@ -91,8 +94,9 @@ class FitResult:
     peak_areas: dict
     peak_strengths: dict
     scale: float
-    curvatures: dict
+    standard_errors: dict
     n_evaluations: int
+    evaluation_split: dict
     flags: tuple = ()
 
     @classmethod
@@ -100,7 +104,8 @@ class FitResult:
         """Inverse of :func:`fit_report_document`, without the provenance.
 
         Only params, peak areas and peak strengths are required; missing
-        diagnostics read as NaN, empty or 0.
+        diagnostics read as NaN, empty or 0, so a report written before
+        standard errors, which has ``curvatures`` instead, reads with none.
         """
         p = doc["params"]
         return cls(
@@ -115,8 +120,9 @@ class FitResult:
             peak_areas=dict(doc["peak_areas"]),
             peak_strengths=dict(doc["peak_strengths"]),
             scale=doc.get("scale", math.nan),
-            curvatures=dict(doc.get("curvatures", {})),
+            standard_errors=dict(doc.get("standard_errors", {})),
             n_evaluations=doc.get("n_evaluations", 0),
+            evaluation_split=dict(doc.get("evaluation_split", {})),
             flags=tuple(doc.get("flags", ())),
         )
 
@@ -185,6 +191,28 @@ def _optimal_scale(data_values: np.ndarray, model_values: np.ndarray) -> float:
     return max(float(np.dot(data_values, model_values)) / denom, 0.0)
 
 
+class _BudgetSpent(Exception):
+    """Raised by a fit's counted residual once its evaluation budget is spent."""
+
+
+def _standard_errors(jac: np.ndarray, cost: float, n_points: int) -> tuple:
+    """(s2, sqrt(diag s2 (J^T J)^-1)), s2 = |r|^2 / (N - p - 1) as the amplitude is fitted too;
+    an error is infinite along a direction J does not see."""
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    dof = n_points - jac.shape[1] - 1
+    s2 = 2.0 * cost / dof if dof > 0 else math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s2, np.sqrt(s2 * np.sum((vt / sv[:, None]) ** 2, axis=0))
+
+
+def _ambiguous_basin(ends, errors: np.ndarray, s2: float) -> bool:
+    """Whether two search ends lie within one unit of |r|^2 / s2 but over 3 errors apart."""
+    if len(ends) < 2:
+        return False
+    a, b = ends[:2]
+    return 2.0 * abs(a.cost - b.cost) < s2 and bool(np.any(np.abs(a.x - b.x) > 3.0 * errors))
+
+
 def fit_spectrum(
     data: MeasuredSpectrum,
     initial: FitParams,
@@ -192,40 +220,38 @@ def fit_spectrum(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     max_evaluations: int = 100_000,
 ) -> FitResult:
-    """Fit one measured sweep by derivative-free chi-squared minimization.
+    """Fit one measured sweep by bounded least squares, the amplitude projected out.
 
-    The field is freed (within +-0.5 mT and [0, ``MAX_FIELD_MT``]) only when the initial
-    value lies more than 0.5 mT from the anticrossing; otherwise it stays
-    fixed and the manifold split is freed.  When the field is free, it is
-    first scanned over its bounds in steps of at most ``B_SCAN_STEP_MT``
-    (0.05 mT, below the 0.076 mT 14N line spacing in field units) with
-    beta at 0 and width at its initial value, and the best-matching field
-    becomes the start field.  Candidate starts then come from a
-    ``START_GRID`` (5 x 5) beta x width grid at the start field; Nelder-Mead
-    is run from the best ``N_RESTARTS`` (2) of them (step tolerance 1e-4,
-    value tolerance 1e-10).  Parameters stay within ``DEFAULT_BOUNDS``.
+    Free are beta, width and, more than 0.5 mT from the anticrossing, the
+    field (within +-0.5 mT and [0, ``MAX_FIELD_MT``]); nearer, the field
+    is fixed and the manifold split is free.  All stay within
+    ``DEFAULT_BOUNDS``; starts outside them are clipped in.  The start
+    field comes from the field scan (the start point when the field is
+    fixed), then a ``START_GRID`` (5 x 5) beta x width grid is scored at
+    it (see the module docstring).  From the best ``N_RESTARTS`` (2)
+    starts, ``least_squares`` (trf, box bounds, ``x_scale="jac"``,
+    relative difference steps ``DIFF_STEPS``) minimizes data - s* model.
 
-    Every scan, grid and search evaluation counts towards
-    ``n_evaluations`` and is spent from ``max_evaluations``; the starts
-    are cut short when the budget runs out, and ``ConvergenceError`` is
-    raised if no search converged.  The curvature probes at the optimum,
-    two per free parameter, are not counted.
+    Every model evaluation, finite-difference Jacobian columns included,
+    counts towards ``n_evaluations`` and is spent from
+    ``max_evaluations``; ``evaluation_split`` holds its scan, grid and
+    search parts.  A search cut short by the budget has not converged,
+    and ``ConvergenceError`` is raised if no search converged.
 
-    What an evaluation needs is made as rarely as it can change.  Once
-    per call (theta is never free), by one ``transitions.FieldStages``:
-    the field direction, the terms of H that do not depend on B, and the
-    level index (m_S, m_I and band mask) of each label order met.  Once
-    per clipped B met, by its ``at``: the field stage (H sum, eigensolve,
-    dipole fold).  Per evaluation: only the population stage and the
-    synthesis.  At most ``FIELD_CACHE_SIZE`` (1,024) field stages are
-    kept, in an LRU cache of the call, so none outlives it.  The reported
-    table and model are those of the best evaluation; the curvature
-    probes use the same field stages.
+    One ``transitions.FieldStages`` per call holds what does not depend on
+    B; its ``at`` solves each B met once (in an LRU cache of the call, of
+    at most ``FIELD_CACHE_SIZE`` stages), so an evaluation runs only the
+    population stage and the synthesis.
 
-    Every start value must be finite, and the start field and angle must
-    make a valid ``FieldConfig``; otherwise ``ValidationError`` is raised
-    before any evaluation.  Parameters clipped into the bounds are valid
-    model inputs, so the search turns no error into a chi-squared.
+    The reported parameters, table and model are the best evaluation's;
+    ``standard_errors`` come from the final Jacobian of the search that
+    ended lowest (:func:`_standard_errors`).  Flags, in this order:
+    ``b_fixed_near_gslac``; ``at_bound:<name>`` for a parameter within
+    ``BOUND_STEPS`` (10) difference steps of a bound; ``ambiguous_basin``
+    (:func:`_ambiguous_basin`).
+
+    A non-finite start value, or a start field and angle that make no
+    valid ``FieldConfig``, is a ``ValidationError`` before any evaluation.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
@@ -241,38 +267,29 @@ def fit_spectrum(
     b_lo = max(initial.b - B_FREE_THRESHOLD_MT, 0.0)
     b_hi = min(initial.b + B_FREE_THRESHOLD_MT, MAX_FIELD_MT)
     bounds = {**DEFAULT_BOUNDS, "b": (b_lo, b_hi)}  # the field's bounds apply only when it is free
+    lower, upper = np.array([bounds[name] for name in names]).T
 
-    eval_count = 0
-    best = (math.inf, None, 0.0, None, None)  # penalized_chi2's tuple of the best counted one
+    evaluations = {"scan": 0, "grid": 0, "search": 0}
+    best = (math.inf, None, 0.0, None, None)  # (|r|, params, scale, table, model) of the best one
 
     def unpack(x) -> FitParams:
         return replace(initial, **dict(zip(names, x)))
 
-    def penalized_chi2(x) -> tuple:
-        """(chi2 at x clipped into the bounds + 1e6 * squared clip distance, clipped x, scale,
-        table, model)."""
-        penalty = 0.0
-        clipped = []
-        for name, value in zip(names, x):
-            lo, hi = bounds[name]
-            c = min(max(value, lo), hi)
-            penalty += (value - c) ** 2
-            clipped.append(c)
-        params = unpack(clipped)
+    def residual(x, part: str) -> np.ndarray:
+        """Counted data - s* model; keeps the best evaluation, with its table and model."""
+        nonlocal best
+        if sum(evaluations.values()) >= max_evaluations:
+            raise _BudgetSpent
+        evaluations[part] += 1
+        params = unpack(x)
         table = _weigh(field_stage(params.b), params)
         model = synthesize(table, params.width, data.grid)
         scale = _optimal_scale(data.values, model.values)
-        chi2 = reduced_chi2(data, scale * model.values)
-        return chi2 + 1e6 * penalty, clipped, scale, table, model
-
-    def objective(x) -> float:
-        """Counted evaluation; keeps the best point seen, with its table and model."""
-        nonlocal eval_count, best
-        eval_count += 1
-        evaluation = penalized_chi2(x)
-        if evaluation[0] < best[0]:
-            best = evaluation
-        return evaluation[0]
+        r = data.values - scale * model.values
+        norm = float(np.linalg.norm(r))
+        if norm < best[0]:
+            best = (norm, params, scale, table, model)
+        return r
 
     # Coarse scoring grid over (beta, width), other parameters at their
     # start.  The grid spans the plausible region around the initial
@@ -286,57 +303,43 @@ def fit_spectrum(
         max(width_lo, initial.width / 3.0), min(width_hi, initial.width * 3.0), n_width
     )
 
-    def start_vector(beta0, width0, b0):
-        return [beta0, width0, b0 if b_free else initial.manifold_split]
+    def start_vector(beta0, width0, b0) -> np.ndarray:
+        return np.clip([beta0, width0, b0 if b_free else initial.manifold_split], lower, upper)
 
-    def score(vectors) -> list:
-        """(objective, vector) pairs, for as many vectors as the budget allows."""
-        return [(objective(x), x) for x in vectors[: max(0, max_evaluations - eval_count)]]
+    def score(vectors, part: str) -> list:
+        return [(np.linalg.norm(residual(x, part)), x) for x in vectors]
 
-    # With the field free, scan it over its bounds first, at beta = 0: scored
-    # at the start field, the grid below favours one broad line whenever the
-    # start is about one 14N spacing off (see the module docstring).
+    # With the field free, scan it over its bounds at beta = 0 first (see the module docstring).
     b_starts, beta_scan = [initial.b], initial.beta
     if b_free:
         n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
         b_starts, beta_scan = np.linspace(b_lo, b_hi, n_scan), 0.0
-    scan = sorted(
-        score([start_vector(beta_scan, initial.width, b0) for b0 in b_starts]),
-        key=itemgetter(0),
-    )
-    b_start = unpack(scan[0][1]).b if scan else initial.b
+    ends = []
+    try:
+        scan = [start_vector(beta_scan, initial.width, b0) for b0 in b_starts]
+        starts = [min(score(scan, "scan"), key=itemgetter(0))]
+        b_start = unpack(starts[0][1]).b
+        grid = [start_vector(beta0, width0, b_start) for beta0 in beta_grid for width0 in width_grid]
+        starts += score(grid, "grid")
+        starts.sort(key=itemgetter(0))
+        for _, x0 in starts[:N_RESTARTS]:
+            end = least_squares(
+                residual, x0, bounds=(lower, upper), method="trf", x_scale="jac",
+                diff_step=[DIFF_STEPS[name] for name in names], args=("search",),
+            )
+            if end.status > 0:
+                ends.append(end)
+    except _BudgetSpent:
+        pass  # the searches that converged before it stand
 
-    starts = scan[:1] + score(
-        [start_vector(beta0, width0, b_start) for beta0 in beta_grid for width0 in width_grid]
-    )
-    starts.sort(key=itemgetter(0))
+    n_evaluations = sum(evaluations.values())
+    _, params, scale, table, model = best
+    if not ends:
+        spent = f"{n_evaluations} evaluations spent of a budget of {max_evaluations}"
+        raise ConvergenceError(f"fit did not converge: {spent}", best=params)
 
-    converged = False
-    for _, x0 in starts[:N_RESTARTS]:
-        remaining = max_evaluations - eval_count
-        if remaining <= 0:
-            break
-        result = minimize(
-            objective,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-10, "maxfev": remaining},
-        )
-        converged = converged or bool(result.success)
-
-    _, x_best, scale, table, model = best
-    if x_best is None or not converged:
-        raise ConvergenceError(
-            f"fit did not converge: {eval_count} evaluations spent of a budget of "
-            f"{max_evaluations}",
-            best=None if x_best is None else unpack(x_best),
-        )
-
-    params = unpack(x_best)
     chi2 = reduced_chi2(data, scale * model.values)
-
-    areas: dict = {}
-    strengths: dict = {}
+    areas, strengths = {}, {}
     for i, probability, intensity in zip(
         table.i.tolist(), table.probability.tolist(), table.intensity.tolist()
     ):
@@ -344,18 +347,16 @@ def fit_spectrum(
         areas[key] = areas.get(key, 0.0) + scale * intensity
         strengths[key] = strengths.get(key, 0.0) + probability
 
-    # 1-d curvature of chi2 at the optimum (uncertainty proxy); the probes
-    # are not search evaluations, so they neither count nor move ``best``.
-    curvatures = {}
-    x_best = np.asarray(x_best, dtype=float)
-    for k, name in enumerate(names):
-        h = 1e-3
-        plus = x_best.copy()
-        minus = x_best.copy()
-        plus[k] += h
-        minus[k] -= h
-        up, down = penalized_chi2(plus)[0], penalized_chi2(minus)[0]
-        curvatures[name] = (up - 2.0 * chi2 + down) / h ** 2
+    final = min(ends, key=attrgetter("cost"))
+    s2, errors = _standard_errors(final.jac, final.cost, data.grid.size)
+    flags = [] if b_free else ["b_fixed_near_gslac"]
+    for name, lo, hi in zip(names, lower, upper):
+        value = getattr(params, name)
+        step = DIFF_STEPS[name] * max(1.0, abs(value))  # the finite-difference step there
+        if min(value - lo, hi - value) <= BOUND_STEPS * step:
+            flags.append(f"at_bound:{name}")
+    if _ambiguous_basin(ends, errors, s2):
+        flags.append("ambiguous_basin")
 
     return FitResult(
         params=params,
@@ -363,9 +364,10 @@ def fit_spectrum(
         peak_areas=areas,
         peak_strengths=strengths,
         scale=scale,
-        curvatures=curvatures,
-        n_evaluations=eval_count,
-        flags=() if b_free else ("b_fixed_near_gslac",),
+        standard_errors=dict(zip(names, errors.tolist())),
+        n_evaluations=n_evaluations,
+        evaluation_split=evaluations,
+        flags=tuple(flags),
     )
 
 
@@ -468,8 +470,9 @@ def fit_report_document(result: FitResult, provenance: dict | None = None) -> di
         "scale": result.scale,
         "peak_areas": dict(sorted(result.peak_areas.items())),
         "peak_strengths": dict(sorted(result.peak_strengths.items())),
-        "curvatures": dict(sorted(result.curvatures.items())),
+        "standard_errors": dict(sorted(result.standard_errors.items())),
         "n_evaluations": result.n_evaluations,
+        "evaluation_split": dict(result.evaluation_split),
         "flags": list(result.flags),
         "provenance": provenance or {},
     }

@@ -332,11 +332,7 @@ def analytic_eigenstates(
     if c.a_perp == 0.0:
         raise ValidationError("transverse hyperfine coupling must be nonzero")
     sign_a = 1.0 if c.a_perp > 0 else -1.0
-    abs_a = abs(c.a_perp)
-    ze = c.gamma_e * float(b)
-    kt1 = (c.d_g + c.q - c.a_par - ze) / (2.0 * abs_a)
-    num2 = (c.d_g - c.q - ze) if kappa2_sign == "minus" else (c.d_g + c.q - ze)
-    kt2 = num2 / (2.0 * abs_a)
+    kt1, kt2 = sign_a * np.array(kappa_parameters(c, float(b), kappa2_sign))
 
     v = np.zeros((9, 9), dtype=complex)
     v[basis_index(0, 1), 0] = 1.0       # level 1

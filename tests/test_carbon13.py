@@ -409,6 +409,24 @@ def test_mc_cap_checked_before_any_build(monkeypatch):
     assert f"largest: {max(over)} sites" in message
 
 
+@pytest.mark.parametrize("width", [np.inf, np.nan, 0.0, -1.0])
+def test_mc_width_is_checked_before_the_first_draw(monkeypatch, width):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a placement was drawn before the width check")
+
+    monkeypatch.setattr(carbon13, "sample_placement", no_draw)
+    cfg = McConfig(iterations=100_000, seed=2)
+    with pytest.raises(ValidationError, match=f"linewidth must be positive and finite, got {width!r}"):
+        mc_average_spectrum(cfg, FIELD, width=width, grid=GRID, mode="lo")
+
+
+def test_mc_bad_width_is_named_before_a_site_cap_error():
+    # the draws of test_mc_cap_checked_before_any_build exceed the site cap
+    cfg = McConfig(iterations=20, occupancy=0.15, seed=1)
+    with pytest.raises(ValidationError, match="linewidth must be positive and finite, got inf"):
+        mc_average_spectrum(cfg, FIELD, width=np.inf, grid=GRID, mode="lo")
+
+
 def test_mc_grid_checked_before_the_first_draw(monkeypatch):
     calls = []
     real = carbon13.sample_placement

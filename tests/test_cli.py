@@ -450,6 +450,38 @@ def test_polarization_from_reports(tmp_path):
         assert abs(float(fields[2])) < 1e-9
 
 
+def test_fit_report_round_trips_through_polarization(fit_input, tmp_path):
+    report = tmp_path / "fit.json"
+    assert run(["fit", str(fit_input), "--width-mhz", "1.2", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert "curvatures" not in doc
+    assert sorted(doc["standard_errors"]) == ["b", "beta", "width"]
+    assert sum(doc["evaluation_split"].values()) == doc["n_evaluations"]
+    out = tmp_path / "pol.csv"
+    assert run(["polarization", str(report), "--out", str(out)]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert float(fields[0]) == pytest.approx(101.5, abs=1e-6)
+    assert float(fields[1]) < 0.0  # beta 0.4 > 0 favours m_I = -1
+    assert fields[-1] == ""
+
+
+def test_polarization_reads_a_report_with_curvatures(tmp_path):
+    doc = {
+        "params": {"beta": 0.0, "b_mt": 101.0, "width_mhz": 1.0},
+        "chi2_red": 1e-4,
+        "scale": 1.0,
+        "peak_areas": {"|0,+1>": 1.0, "|0,0>": 1.0, "|0,-1>": 1.0},
+        "peak_strengths": {"|0,+1>": 2.0, "|0,0>": 2.0, "|0,-1>": 2.0},
+        "curvatures": {"b": 5.0, "beta": 3.0, "width": 4.0},
+        "n_evaluations": 433,
+        "flags": [],
+    }
+    (tmp_path / "old.json").write_text(json.dumps(doc))
+    out = tmp_path / "pol.csv"
+    assert run(["polarization", str(tmp_path / "old.json"), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "101,0,0,0.333333333,0.333333333,0.333333333,0,"
+
+
 def test_polarization_bad_report_is_parse_error(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("{not json")

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,8 +176,8 @@ def test_fit_width_broadening_recovered():
 def model_calls(monkeypatch):
     """Record the parameters of each model spectrum the fitter evaluates.
 
-    Every evaluation, counted or a curvature probe, weighs its field stage
-    exactly once, cached or not; so does every ``model_spectrum`` call.
+    Every evaluation weighs its field stage exactly once, cached or not; so
+    does every ``model_spectrum`` call.
     """
     calls = []
     weigh = fitting._weigh
@@ -206,10 +207,12 @@ def test_fit_n_evaluations_includes_field_scan(model_calls):
     data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
     del model_calls[:]  # the data's own model spectrum
     result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
-    # every model spectrum but the two curvature probes per free parameter
-    # is a counted evaluation
-    assert len(result.curvatures) == 3
-    assert result.n_evaluations == len(model_calls) - 2 * len(result.curvatures)
+    # every model spectrum is a counted evaluation, the search's
+    # finite-difference Jacobian columns included
+    assert result.n_evaluations == len(model_calls)
+    split = result.evaluation_split
+    assert split["scan"] == 21 and split["grid"] == 25 and split["search"] > 0
+    assert sum(split.values()) == result.n_evaluations
 
 
 @pytest.fixture
@@ -243,7 +246,7 @@ def test_fit_forms_its_field_terms_once(monkeypatch):
     for data, start in cases:
         del directions[:]
         result = fit_spectrum(data, start)
-        assert result.n_evaluations > 100
+        assert result.evaluation_split["search"] > 20  # many evaluations, one formation
         assert len(directions) == 1
 
 
@@ -253,7 +256,10 @@ def test_b_fixed_fit_builds_its_field_once(model_calls, field_builds):
     del model_calls[:], field_builds[:]  # the data's own model spectrum
     result = fit_spectrum(data, FitParams(beta=0.0, b=b, width=1.2))
     assert "b_fixed_near_gslac" in result.flags
-    assert result.n_evaluations == len(model_calls) - 6
+    assert result.n_evaluations == len(model_calls)
+    split = result.evaluation_split
+    assert split["scan"] == 1 and split["grid"] == 25  # a fixed field scores its one start
+    assert sum(split.values()) == result.n_evaluations
     assert field_builds == [b]
 
 
@@ -309,12 +315,120 @@ def test_fit_field_cache_holds_at_most_its_cap(monkeypatch, field_builds):
     assert capped == uncapped
 
 
-def test_fit_curvature_probes_stay_within_budget():
-    # 442 evaluations is what the scan, the grid and the searches of this fit
-    # take, so the budget is spent exactly when the search converges
+def test_fit_stays_within_a_budget_that_ends_in_the_search(model_calls):
     data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
-    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0), max_evaluations=442)
-    assert result.n_evaluations <= 442
+    start = FitParams(beta=0.0, b=101.35, width=1.0)
+    full = fit_spectrum(data, start)
+    # a budget of exactly what the fit takes changes nothing
+    assert fit_spectrum(data, start, max_evaluations=full.n_evaluations) == full
+    # one less cuts the second search short; the first one has converged
+    del model_calls[:]
+    cut = fit_spectrum(data, start, max_evaluations=full.n_evaluations - 1)
+    assert cut.n_evaluations == len(model_calls) == full.n_evaluations - 1
+    assert sum(cut.evaluation_split.values()) == cut.n_evaluations
+
+
+def test_fit_budget_counts_jacobian_evaluations(model_calls):
+    # B fixed: 1 start point and 25 grid points leave 4 evaluations of the
+    # budget, the first search's residual and its 3 Jacobian columns
+    b = gslac_field(C) + 0.1
+    data, _ = synthetic_spectrum(0.3, b, 1.2, seed=4)
+    del model_calls[:]
+    with pytest.raises(ConvergenceError, match="fit did not converge: 30 evaluations spent"):
+        fit_spectrum(data, FitParams(beta=0.0, b=b, width=1.2), max_evaluations=30)
+    assert len(model_calls) == 30
+
+
+def criterion6_case(seed, index):
+    """Criterion 6's synthetic spectrum (tests/test_acceptance.py) with noise seed
+    6000 + 1000 * seed + index; seed 0 gives the acceptance test's cases."""
+    rng = np.random.default_rng(6000 + 1000 * seed + index)
+    sign = 1.0 if index % 2 else -1.0
+    truth = FitParams(
+        beta=sign * (0.25 + 0.75 * (index // 2) / 9.0),
+        b=101.0 + 2.5 * index / 19.0,
+        width=0.8 + 1.2 * ((index * 7) % 20) / 19.0,
+    )
+    center = C.d_g + C.gamma_e * truth.b
+    grid = np.arange(center - 12.0, center + 12.0, 0.02)
+    clean = model_spectrum(truth, grid, mode="hi").values
+    values = clean + 0.01 * clean.max() * rng.standard_normal(grid.size)
+    return truth, MeasuredSpectrum(grid=grid, values=values, meta={"b_mt": truth.b})
+
+
+def test_fit_standard_errors_are_calibrated():
+    # (fit - truth) / se over 60 criterion-6 fits scatters with unit spread
+    pulls = {"beta": [], "width": []}
+    for seed in range(3):
+        for index in range(20):
+            truth, data = criterion6_case(seed, index)
+            b_free = abs(truth.b - gslac_field(C)) > fitting.B_FREE_THRESHOLD_MT
+            start = FitParams(beta=0.0, b=truth.b + (0.05 if b_free else 0.0), width=1.2)
+            result = fit_spectrum(data, start)
+            for name, values in pulls.items():
+                error = (getattr(result.params, name) - getattr(truth, name))
+                values.append(error / result.standard_errors[name])
+    for name, values in pulls.items():
+        assert 0.7 <= np.std(values) <= 1.3, (name, np.std(values))
+
+
+def test_fit_flags_a_width_below_its_bound():
+    data, _ = synthetic_spectrum(0.3, 101.4, 0.03, seed=13, step=0.005)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
+    width_lo = fitting.DEFAULT_BOUNDS["width"][0]
+    assert result.flags == ("at_bound:width",)
+    assert width_lo <= result.params.width <= width_lo * (1.0 + 1e-4)
+
+
+def test_fit_reports_standard_errors_of_its_free_parameters():
+    data, sigma = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
+    assert list(result.standard_errors) == ["beta", "width", "b"]
+    assert all(0.0 < error < 0.01 for error in result.standard_errors.values())
+    near = gslac_field(C) + 0.1
+    data, _ = synthetic_spectrum(0.3, near, 1.2, seed=4)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=near, width=1.2))
+    assert list(result.standard_errors) == ["beta", "width", "manifold_split"]
+
+
+def _search_end(cost, *x):
+    return SimpleNamespace(cost=cost, x=np.array(x))
+
+
+@pytest.mark.parametrize(
+    "ends, ambiguous",
+    [
+        # within one unit of |r|^2 / s2 (2 * 0.4 / 1) and 4 se apart in beta
+        ([_search_end(10.0, 0.0, 1.0, 101.0), _search_end(10.4, 0.4, 1.0, 101.0)], True),
+        # 4 se apart in the field alone
+        ([_search_end(10.0, 0.0, 1.0, 101.0), _search_end(10.0, 0.0, 1.0, 101.04)], True),
+        # the same basin: within 3 se in every parameter
+        ([_search_end(10.0, 0.0, 1.0, 101.0), _search_end(10.0, 0.29, 1.29, 101.029)], False),
+        # apart, but one end lies more than one unit above the other
+        ([_search_end(10.0, 0.0, 1.0, 101.0), _search_end(10.6, 0.4, 1.0, 101.0)], False),
+        # one search converged
+        ([_search_end(10.0, 0.0, 1.0, 101.0)], False),
+    ],
+)
+def test_ambiguous_basin_rule(ends, ambiguous):
+    errors = np.array([0.1, 0.1, 0.01])
+    assert fitting._ambiguous_basin(ends, errors, 1.0) is ambiguous
+
+
+def test_fit_result_reads_a_report_from_before_standard_errors():
+    doc = {
+        "params": {"beta": 0.3, "b_mt": 101.4, "width_mhz": 1.0},
+        "chi2_red": 1e-4,
+        "scale": 2.0,
+        "peak_areas": {"|0,0>": 1.0},
+        "peak_strengths": {"|0,0>": 2.0},
+        "curvatures": {"beta": 3.0, "width": 4.0, "b": 5.0},
+        "n_evaluations": 433,
+        "flags": [],
+    }
+    result = FitResult.from_document(doc)
+    assert result.standard_errors == {} and result.evaluation_split == {}
+    assert result.n_evaluations == 433 and result.params.beta == 0.3
 
 
 def test_fit_empty_data_rejected():

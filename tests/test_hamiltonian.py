@@ -393,3 +393,29 @@ def test_constants_file_line_errors_name_the_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=re.escape(message.format(path=path))):
         parse_constants_file(path)
+
+
+@pytest.mark.parametrize("kappa2_sign", ["minus", "plus"])
+@pytest.mark.parametrize("a_perp", [-2.7, 2.7, -0.3])
+def test_analytic_eigenstates_mix_with_the_inline_kappa_formula(monkeypatch, kappa2_sign, a_perp):
+    # the mixing parameters analytic_eigenstates gives each pair, bit for bit
+    # those of the formula it once formed inline with |a_perp|
+    c = dataclasses.replace(DEFAULT_CONSTANTS, a_perp=a_perp)
+    seen = []
+    pair_vectors = hamiltonian._pair_vectors
+
+    def recording_pair_vectors(kappa_abs, sign_a):
+        seen.append((kappa_abs, sign_a))
+        return pair_vectors(kappa_abs, sign_a)
+
+    monkeypatch.setattr(hamiltonian, "_pair_vectors", recording_pair_vectors)
+    sign_a = 1.0 if a_perp > 0 else -1.0
+    for b in np.linspace(0.0, 250.0, 2001):
+        del seen[:]
+        analytic_eigenstates(c, b, kappa2_sign)
+        ze = c.gamma_e * float(b)
+        kt1 = (c.d_g + c.q - c.a_par - ze) / (2.0 * abs(c.a_perp))
+        num2 = (c.d_g - c.q - ze) if kappa2_sign == "minus" else (c.d_g + c.q - ze)
+        kt2 = num2 / (2.0 * abs(c.a_perp))
+        got = [(np.float64(kappa).tobytes(), sign) for kappa, sign in seen]
+        assert got == [(np.float64(kt1).tobytes(), sign_a), (np.float64(kt2).tobytes(), sign_a)]

@@ -11,7 +11,6 @@ SRC = Path(nvgslac.__file__).parent
 KEEP = {
     "analytic_eigenstates": "closed-form oracle of the axial model (acceptance tests)",
     "analytic_energies": "closed-form oracle of the axial model (acceptance tests)",
-    "kappa_parameters": "closed-form mixing parameters behind the analytic oracle",
     "truncated_eigensystem": "6x6 truncated-Hamiltonian oracle (acceptance tests)",
     "level_sweep": "adiabatic relabeling of a solve_fields sweep (hamiltonian tests)",
     "intensity_matrix": "table from a given probability matrix (acceptance tests)",
