@@ -39,6 +39,7 @@ from .spectrum import (
     frequency_grid,
     read_spectrum_csv,
     require_grid_covers,
+    row_template,
     synthesize,
     transitions_to_csv,
     write_spectrum_csv,
@@ -118,7 +119,7 @@ def _spectrum_meta(args, b: float) -> dict:
     }
 
 
-def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> None:
+def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str, rows=None) -> None:
     if fmt == "json":
         path = out_dir / f"{stem}.json"
         doc = {
@@ -131,7 +132,7 @@ def _write_spectrum(out_dir: Path, stem: str, spec, meta: dict, fmt: str) -> Non
         _write_json(path, doc)
     else:
         path = out_dir / f"{stem}.csv"
-        write_spectrum_csv(path, spec, meta)
+        write_spectrum_csv(path, spec, meta, rows)
 
 
 def cmd_simulate(args) -> int:
@@ -149,10 +150,10 @@ def cmd_simulate(args) -> int:
         spectra.append(synthesize(table, args.width_mhz, grid))
     require_grid_covers(grid, tables, args.width_mhz, args.mode)
 
+    rows = row_template(grid) if args.format == "csv" else None  # the same grid column every field
     for b, spec in zip(fields, spectra):
-        _write_spectrum(
-            out_dir, f"spectrum_{args.mode}_b{b:.6g}", spec, _spectrum_meta(args, b), args.format
-        )
+        stem = f"spectrum_{args.mode}_b{b:.6g}"
+        _write_spectrum(out_dir, stem, spec, _spectrum_meta(args, b), args.format, rows)
     with open(out_dir / f"transitions_{args.mode}.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(transitions_to_csv(tables))
     _write_json(out_dir / "provenance.json", _provenance(args, constants, "simulate"))

@@ -106,8 +106,11 @@ class FitResult:
         Only params, peak areas and peak strengths are required; missing
         diagnostics read as NaN, empty or 0, so a report written before
         standard errors, which has ``curvatures`` instead, reads with none.
+        A ``null`` statistic (written for a non-finite value, see
+        :func:`fit_report_document`) reads as NaN.
         """
         p = doc["params"]
+        top = _nan_for_null(doc)
         return cls(
             params=FitParams(
                 beta=p["beta"],
@@ -116,15 +119,30 @@ class FitResult:
                 theta_deg=p.get("theta_deg", 0.0),
                 manifold_split=p.get("manifold_split", 1.0),
             ),
-            chi2_red=doc.get("chi2_red", math.nan),
+            chi2_red=top.get("chi2_red", math.nan),
             peak_areas=dict(doc["peak_areas"]),
             peak_strengths=dict(doc["peak_strengths"]),
-            scale=doc.get("scale", math.nan),
-            standard_errors=dict(doc.get("standard_errors", {})),
+            scale=top.get("scale", math.nan),
+            standard_errors=_nan_for_null(doc.get("standard_errors", {})),
             n_evaluations=doc.get("n_evaluations", 0),
             evaluation_split=dict(doc.get("evaluation_split", {})),
             flags=tuple(doc.get("flags", ())),
         )
+
+
+def _nan_for_null(mapping: dict) -> dict:
+    return {key: math.nan if value is None else value for key, value in mapping.items()}
+
+
+def _null_for_nonfinite(value):
+    """``value`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _null_for_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_for_nonfinite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass(frozen=True)
@@ -456,9 +474,10 @@ def polarization_sweep(
 
 
 def fit_report_document(result: FitResult, provenance: dict | None = None) -> dict:
-    """JSON-serializable report for one fit."""
+    """Strict-JSON report for one fit: a non-finite number, such as the standard
+    error of a parameter the data do not determine, is None (``null``)."""
     params = result.params
-    return {
+    return _null_for_nonfinite({
         "params": {
             "beta": params.beta,
             "b_mt": params.b,
@@ -475,10 +494,12 @@ def fit_report_document(result: FitResult, provenance: dict | None = None) -> di
         "evaluation_split": dict(result.evaluation_split),
         "flags": list(result.flags),
         "provenance": provenance or {},
-    }
+    })
 
 
 def write_fit_report(path, result: FitResult, provenance: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_report_document(result, provenance), fh, indent=2, sort_keys=True)
+        json.dump(
+            fit_report_document(result, provenance), fh, indent=2, sort_keys=True, allow_nan=False
+        )
         fh.write("\n")

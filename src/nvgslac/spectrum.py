@@ -8,9 +8,14 @@ parameterized by the half width at half maximum g, so a peak's amplitude
 equals its analytic area.  Values use the positive-dip convention
 (positive = fluorescence decrease).
 
-Spectrum files are CSV with header ``freq_mhz,value`` preceded by optional
-``# key=value`` metadata lines; numbers are written with 9 significant
-digits so identical inputs give byte-identical files.
+Spectrum files are CSV with header ``freq_mhz,value`` (``freq_mhz,value,stderr``
+for an ensemble mean) preceded by optional ``# key=value`` metadata lines;
+numbers are written with 9 significant digits (``%.9g``) so identical inputs
+give byte-identical files.  The grid column is formatted once into a row
+template (:func:`row_template`) and each spectrum fills the template's value
+slots in one ``%`` pass; the text is byte-identical to formatting every
+number on its own with ``%.9g``.  A sweep writes many spectra on one grid, so
+``simulate`` builds the template once per call.
 """
 
 from __future__ import annotations
@@ -176,8 +181,29 @@ def _format_number(x: float) -> str:
     return NUMBER_FORMAT % float(x)
 
 
-def spectrum_to_csv(spec, extra_meta: dict | None = None) -> str:
-    """Serialize a spectrum (model or measured) to CSV text."""
+def row_template(grid, columns: int = 1) -> str:
+    """The data rows of a spectrum CSV with the grid column already written.
+
+    Row k is the k-th grid number in ``NUMBER_FORMAT`` followed by ``columns``
+    slots ``,%.9g``, so ``template % tuple(values)``, with the value columns
+    interleaved row by row, formats a whole spectrum in one pass.  The grid is
+    read as floats, as the per-number formatting reads it.
+    """
+    grid = np.asarray(grid, dtype=float)
+    slots = ("," + NUMBER_FORMAT) * columns + "\n"
+    return ((NUMBER_FORMAT + slots.replace("%", "%%")) * grid.size) % tuple(grid.tolist())
+
+
+def spectrum_to_csv(spec, extra_meta: dict | None = None, rows: str | None = None) -> str:
+    """Serialize a spectrum (model or measured) to CSV text.
+
+    The metadata lines come first, sorted by key, then the header and one row
+    per grid point: ``freq_mhz,value`` or, when ``spec`` has a ``stderr``,
+    ``freq_mhz,value,stderr``.  ``rows`` is ``row_template(spec.grid, columns)``
+    with one column per value column; a caller writing many spectra on one
+    grid builds it once, otherwise it is built here.  Every number reads as
+    ``"%.9g" % float(x)`` would write it.
+    """
     meta = dict(spec.meta or {})
     if extra_meta:
         meta.update(extra_meta)
@@ -189,19 +215,20 @@ def spectrum_to_csv(spec, extra_meta: dict | None = None) -> str:
     stderr = getattr(spec, "stderr", None)
     if stderr is None:
         buf.write("freq_mhz,value\n")
-        cols = (spec.grid, spec.values)
+        values = np.asarray(spec.values, dtype=float)
     else:
         buf.write("freq_mhz,value,stderr\n")
-        cols = (spec.grid, spec.values, stderr)
-    # All rows in one formatting pass over Python floats.
-    row_fmt = ",".join([NUMBER_FORMAT] * len(cols)) + "\n"
-    buf.write((row_fmt * len(spec.grid)) % tuple(np.column_stack(cols).ravel().tolist()))
+        values = np.column_stack((spec.values, stderr)).astype(float, copy=False).ravel()
+    if rows is None:
+        rows = row_template(spec.grid, 1 if stderr is None else 2)
+    buf.write(rows % tuple(values.tolist()))
     return buf.getvalue()
 
 
-def write_spectrum_csv(path, spec, extra_meta: dict | None = None) -> None:
+def write_spectrum_csv(path, spec, extra_meta: dict | None = None, rows: str | None = None) -> None:
+    """Write :func:`spectrum_to_csv` text to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(spectrum_to_csv(spec, extra_meta))
+        fh.write(spectrum_to_csv(spec, extra_meta, rows))
 
 
 def read_spectrum_csv(path) -> MeasuredSpectrum:
@@ -253,24 +280,39 @@ def read_spectrum_csv(path) -> MeasuredSpectrum:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it in a row, quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
 def transitions_to_csv(tables) -> str:
-    """Serialize transition tables as ``b_mt,freq_mhz,intensity,label_from,label_to``."""
+    """Serialize transition tables as ``b_mt,freq_mhz,intensity,label_from,label_to``.
+
+    Each distinct label is formatted and quoted once per call, and each table's
+    rows are formatted in one ``%`` pass; the text is what :mod:`csv` writes
+    row by row from ``%.9g`` numbers.  ``b_mt`` is empty for a table without a
+    field.
+    """
     from .spin_core import format_label
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["b_mt", "freq_mhz", "intensity", "label_from", "label_to"])
-    names = {}  # each distinct label is formatted once per call
+    parts = ["b_mt,freq_mhz,intensity,label_from,label_to\n"]
+    names = {}
     for table in tables:
         b_text = _format_number(table.b_mt) if table.b_mt is not None else ""
         for m in set(table.labels) - names.keys():
-            names[m] = format_label(m)
+            names[m] = _csv_field(format_label(m))
         labels = [names[m] for m in table.labels]
-        for i, j, freq, intensity in zip(table.i, table.j, table.freq_mhz, table.intensity):
-            writer.writerow(
-                [b_text, _format_number(freq), _format_number(intensity), labels[i], labels[j]]
-            )
-    return buf.getvalue()
+        row = f"{b_text},{NUMBER_FORMAT},{NUMBER_FORMAT},%s,%s\n"
+        cells = zip(
+            table.freq_mhz.tolist(),
+            table.intensity.tolist(),
+            [labels[i] for i in table.i.tolist()],
+            [labels[j] for j in table.j.tolist()],
+        )
+        parts.append((row * len(table)) % tuple(x for cell in cells for x in cell))
+    return "".join(parts)
 
 
 def frequency_grid(start: float, stop: float, step: float) -> np.ndarray:

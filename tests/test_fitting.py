@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -447,6 +448,36 @@ def test_fit_report_document_round_trip(tmp_path):
     assert loaded["params"]["beta"] == pytest.approx(doc["params"]["beta"])
     assert loaded["provenance"]["input"] == "x.csv"
     assert set(loaded["peak_areas"]) == set(doc["peak_areas"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        (np.array([5720.0, 5725.0, 5730.0, 5735.0]), np.array([0.1, 0.5, 0.2, 0.05])),
+        (np.linspace(5700.0, 5760.0, 600), np.zeros(600)),
+    ],
+    ids=["four_points", "all_zero"],
+)
+def test_fit_report_writes_undefined_numbers_as_null(tmp_path, grid, values):
+    from nvgslac import cli
+
+    result = fit_spectrum(MeasuredSpectrum(grid=grid, values=values), FitParams(0.3, 101.4, 1.0))
+    assert all(math.isnan(se) for se in result.standard_errors.values())
+    path = tmp_path / "fit.json"
+    write_fit_report(path, result, {"input": "x.csv"})
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert set(doc["standard_errors"].values()) == {None}
+    back = FitResult.from_document(doc)
+    assert all(math.isnan(se) for se in back.standard_errors.values())
+    assert dataclasses.replace(back, standard_errors={}) == dataclasses.replace(
+        result, standard_errors={}
+    )
+    assert polarization_sweep([back]) == polarization_sweep([result])
+    assert cli.main(["polarization", str(path), "--out", str(tmp_path / "pol.csv")]) == 0
 
 
 def test_fit_result_from_document_round_trip():

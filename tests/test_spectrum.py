@@ -1,10 +1,15 @@
+import csv
 import dataclasses
+import io
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import nv_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvgslac import spectrum
 from nvgslac.carbon13 import C13Placement, build_full_hamiltonian, load_families, site_list
@@ -19,6 +24,7 @@ from nvgslac.spectrum import (
     lorentzian,
     read_spectrum_csv,
     require_grid_covers,
+    row_template,
     spectrum_to_csv,
     synthesize,
     track_transition,
@@ -290,6 +296,61 @@ def test_spectrum_csv_equals_per_row_oracle():
     assert spectrum_to_csv(model, {"b_mt": 102.4}) == per_row_csv(model, {"b_mt": 102.4})
 
 
+# Finite numbers with the awkward ones drawn often: signed zeros and subnormals.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300]
+)
+_ANY = _FINITE | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _spectra(draw):
+    """Spectra with 2 or 3 columns on integer or float grids, as strided views or not."""
+    n = draw(st.integers(1, 30))
+    stride = draw(st.sampled_from([1, 2, 3]))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n * stride, max_size=n * stride)))[
+            ::stride
+        ]
+
+    if draw(st.booleans()):
+        grid = column(st.integers(-(2**53), 2**53))
+    else:
+        grid = column(_FINITE)
+    stderr = column(_ANY) if draw(st.booleans()) else None
+    return SpectrumModel(peaks=np.empty((0, 3)), grid=grid, values=column(_FINITE), stderr=stderr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_spectra(), b_mt=_FINITE)
+def test_spectrum_csv_template_equals_per_row_oracle(spec, b_mt):
+    expected = per_row_csv(spec, {"b_mt": b_mt})
+    assert spectrum_to_csv(spec, {"b_mt": b_mt}) == expected
+    columns = 1 if spec.stderr is None else 2
+    assert spectrum_to_csv(spec, {"b_mt": b_mt}, row_template(spec.grid, columns)) == expected
+
+
+def test_grids_one_ulp_apart_give_different_text():
+    # 1.000000005 lies halfway between two 9-digit numbers; the float
+    # nearest to it lies just below and the next one just above.
+    below = 1.000000005
+    above = math.nextafter(below, math.inf)
+    assert NUMBER_FORMAT % below != NUMBER_FORMAT % above
+    texts = []
+    for point in (below, above):
+        spec = SpectrumModel(peaks=np.empty((0, 3)), grid=np.array([point]), values=np.array([2.0]))
+        texts.append(spectrum_to_csv(spec, rows=row_template(spec.grid)))
+        assert texts[-1] == per_row_csv(spec)
+    assert texts[0] != texts[1]
+
+
+def test_row_template_slots_must_match_the_values():
+    spec = SpectrumModel(peaks=np.empty((0, 3)), grid=np.arange(3.0), values=np.ones(3))
+    with pytest.raises(TypeError):
+        spectrum_to_csv(spec, rows=row_template(spec.grid, 2))
+
+
 def test_spectrum_csv_parse_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -317,24 +378,51 @@ def test_transitions_csv_layout():
     assert '"|0,+1>"' in text and '"|+1,+1>"' in text
 
 
+def per_row_transitions_csv(tables):
+    """Oracle: one ``csv.writer`` row per entry, every number formatted on its own."""
+    from nvgslac.spin_core import format_label
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["b_mt", "freq_mhz", "intensity", "label_from", "label_to"])
+    for t in tables:
+        b_text = "" if t.b_mt is None else NUMBER_FORMAT % t.b_mt
+        for i, j, f, a in zip(t.i, t.j, t.freq_mhz, t.intensity):
+            writer.writerow(
+                [
+                    b_text,
+                    NUMBER_FORMAT % f,
+                    NUMBER_FORMAT % a,
+                    format_label(t.labels[i]),
+                    format_label(t.labels[j]),
+                ]
+            )
+    return buf.getvalue()
+
+
+def test_transitions_csv_equals_per_row_oracle():
+    table = nv_table(101.5, mode="lo", theta_deg=0.3)
+    entries = ("i", "j", "freq_mhz", "probability", "intensity")
+    empty = dataclasses.replace(table, **{name: getattr(table, name)[:0] for name in entries})
+    unfielded = dataclasses.replace(nv_table(98.0, beta=0.7), b_mt=None)
+    tables = [table, empty, unfielded, nv_table(102.4, mode="hi")]
+    text = transitions_to_csv(tables)
+    assert text == per_row_transitions_csv(tables)
+    assert '"|0,-1>"' in text and "\n,%s," % (NUMBER_FORMAT % unfielded.freq_mhz[0]) in text
+    assert transitions_to_csv([]) == transitions_to_csv([empty]) == per_row_transitions_csv([])
+
+
 def test_transitions_csv_formats_each_label_once_per_call(monkeypatch):
     from nvgslac import spin_core
 
     tables = [nv_table(b, mode=None) for b in np.linspace(101.0, 103.5, 40)]
-    expected = "".join(
-        f"{spectrum.NUMBER_FORMAT % t.b_mt},{spectrum.NUMBER_FORMAT % f},"
-        f"{spectrum.NUMBER_FORMAT % a},{spin_core.format_label(t.labels[i])},"
-        f"{spin_core.format_label(t.labels[j])}\n"
-        for t in tables
-        for i, j, f, a in zip(t.i, t.j, t.freq_mhz, t.intensity)
-    )
+    expected = per_row_transitions_csv(tables)
     calls = []
     format_label = spin_core.format_label
     monkeypatch.setattr(
         spin_core, "format_label", lambda label: calls.append(label) or format_label(label)
     )
-    text = transitions_to_csv(tables)
-    assert text.replace('"', "").split("\n", 1)[1] == expected
+    assert transitions_to_csv(tables) == expected
     assert sorted(calls) == sorted(product_basis_labels(0))  # nine labels, each formatted once
     transitions_to_csv(tables[:1])
     assert len(calls) == 18  # nothing is kept between calls
