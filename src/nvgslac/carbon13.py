@@ -141,6 +141,8 @@ def load_families(path=None) -> tuple:
                 axx, ayy, azz, cos_zz = (float(cell) for cell in row[2:6])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
+            if not all(map(math.isfinite, (axx, ayy, azz))):
+                raise ParseError(f"{path}:{lineno}: hyperfine values must be finite")
             if multiplicity < 1:
                 raise ParseError(f"{path}:{lineno}: multiplicity must be >= 1")
             if not 0.0 <= cos_zz <= 1.0:

@@ -25,9 +25,9 @@ from .fitting import (
     FitParams,
     FitResult,
     calibrate_field,
+    fit_report_document,
     fit_spectrum,
     polarization_sweep,
-    write_fit_report,
 )
 from .hamiltonian import (
     CONSTANT_UNITS,
@@ -104,9 +104,9 @@ def _provenance(args, constants, command: str) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``doc`` as strict JSON: a NaN or infinity raises ValueError before the file opens."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _spectrum_meta(args, b: float) -> dict:
@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
     provenance["input"] = str(args.input)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_fit_report(out, result, provenance)
+    _write_json(out, fit_report_document(result, provenance))
     return 0
 
 
@@ -222,9 +222,12 @@ def cmd_calibrate(args) -> int:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                points.append((float(row[0]), float(row[1])))
+                point = (float(row[0]), float(row[1]))
             except (ValueError, IndexError):
                 raise ParseError(f"{args.input}:{lineno}: malformed calibration row") from None
+            if not all(map(math.isfinite, point)):
+                raise ParseError(f"{args.input}:{lineno}: calibration values must be finite")
+            points.append(point)
     model = calibrate_field(points)
     doc = {
         "slope_mt_per_a": model.slope,

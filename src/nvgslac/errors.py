@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the library and the command line tool.
 
-Each class carries the process exit code the CLI maps it to.
+Each class carries the process exit code the CLI maps it to; the message
+is all an error holds, and it names the input that caused it.
 """
 
 
@@ -23,16 +24,9 @@ class ParseError(NvGslacError, ValueError):
 
 
 class ConvergenceError(NvGslacError, RuntimeError):
-    """Optimizer exhausted its evaluation budget.
-
-    ``best`` holds the best result found so far (or None).
-    """
+    """Optimizer exhausted its evaluation budget."""
 
     exit_code = 4
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 class ResourceLimitError(NvGslacError, RuntimeError):

@@ -23,11 +23,13 @@ temperature, a basin a local search does not leave.
 Within 0.5 mT of the anticrossing the field is held fixed (supplied by the
 coil-current calibration) and the electron-manifold population split is
 freed instead; the grid is scored at the start field.
+
+The command line writes :func:`fit_report_document` as strict JSON and
+:meth:`FitResult.from_document` reads it back.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -107,9 +109,16 @@ class FitResult:
         diagnostics read as NaN, empty or 0, so a report written before
         standard errors, which has ``curvatures`` instead, reads with none.
         A ``null`` statistic (written for a non-finite value, see
-        :func:`fit_report_document`) reads as NaN.
+        :func:`fit_report_document`) reads as NaN.  The field and every peak
+        area and strength must be finite numbers, or ValueError names the key.
         """
         p = doc["params"]
+        required = {"params.b_mt": p["b_mt"]}
+        for part in ("peak_areas", "peak_strengths"):
+            required.update((f"{part}[{key!r}]", value) for key, value in doc[part].items())
+        for name, value in required.items():
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         top = _nan_for_null(doc)
         return cls(
             params=FitParams(
@@ -166,17 +175,12 @@ class PolarizationReport:
     flags: tuple = ()
 
 
-def reduced_chi2(data: MeasuredSpectrum, model_values, sigma=None) -> float:
+def reduced_chi2(data: MeasuredSpectrum, model_values) -> float:
     """Mean squared residual between a measured sweep and model values on its grid."""
     model_values = np.asarray(model_values, dtype=float)
     if model_values.shape != data.values.shape:
         raise ValidationError("data and model are sampled on different grids")
     residual = data.values - model_values
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != residual.shape:
-            raise ValidationError("sigma must match the data grid")
-        residual = residual / sigma
     return float(np.add.reduce(residual * residual)) / residual.size  # the bits of np.mean
 
 
@@ -354,7 +358,7 @@ def fit_spectrum(
     _, params, scale, table, model = best
     if not ends:
         spent = f"{n_evaluations} evaluations spent of a budget of {max_evaluations}"
-        raise ConvergenceError(f"fit did not converge: {spent}", best=params)
+        raise ConvergenceError(f"fit did not converge: {spent}")
 
     chi2 = reduced_chi2(data, scale * model.values)
     areas, strengths = {}, {}
@@ -390,18 +394,24 @@ def fit_spectrum(
 
 
 def calibrate_field(points) -> CalibrationModel:
-    """Ordinary least-squares line through (coil current, fitted field) points."""
+    """Ordinary least-squares line through finite (coil current, fitted field) points;
+    an overflow in the fit shows as a line that is not finite, and is refused."""
     points = [(float(c), float(b)) for c, b in points]
     if len(points) < 2:
         raise ValidationError("calibration needs at least two points")
-    currents = np.array([c for c, _ in points])
-    fields = np.array([b for _, b in points])
-    if np.ptp(currents) == 0.0:
-        raise ValidationError("calibration currents are degenerate")
-    slope, intercept = np.polyfit(currents, fields, 1)
-    return CalibrationModel(
-        slope=float(slope), intercept=float(intercept), fit_range=tuple(sorted(currents))
-    )
+    currents, fields = np.array(points).T
+    if not np.isfinite(points).all():
+        raise ValidationError("calibration points must be finite")
+    with np.errstate(all="ignore"):
+        if np.ptp(currents) == 0.0:
+            raise ValidationError("calibration currents are degenerate")
+        try:
+            slope, intercept = map(float, np.polyfit(currents, fields, 1))
+        except np.linalg.LinAlgError:  # LAPACK met a non-finite scaled value
+            slope = intercept = math.nan
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValidationError(f"calibration line is not finite: slope {slope}, intercept {intercept}")
+    return CalibrationModel(slope=slope, intercept=intercept, fit_range=tuple(sorted(currents)))
 
 
 def _check_populations(populations) -> np.ndarray:
@@ -495,11 +505,3 @@ def fit_report_document(result: FitResult, provenance: dict | None = None) -> di
         "flags": list(result.flags),
         "provenance": provenance or {},
     })
-
-
-def write_fit_report(path, result: FitResult, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            fit_report_document(result, provenance), fh, indent=2, sort_keys=True, allow_nan=False
-        )
-        fh.write("\n")

@@ -34,7 +34,6 @@ HERMITICITY_RTOL = 1e-9
 class SpinMatrices:
     """Angular-momentum matrices of one spin in the |m> basis, hbar = 1."""
 
-    s: float
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
@@ -65,7 +64,7 @@ def spin_matrices(s: float) -> SpinMatrices:
     s_minus = s_plus.conj().T
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j
-    return SpinMatrices(s=float(s), sx=sx, sy=sy, sz=sz, s_plus=s_plus, s_minus=s_minus)
+    return SpinMatrices(sx=sx, sy=sy, sz=sz, s_plus=s_plus, s_minus=s_minus)
 
 
 def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:

@@ -3,18 +3,19 @@
 The microwave coupling is (S+ + S-) on the electron spin, folded into the
 eigenbasis; the overall Rabi-frequency prefactor is set to 1 so all
 intensities are relative.  Populations follow a single spin-temperature
-parameter beta over the nitrogen projections,
+parameter beta over the nitrogen projections: :func:`populations` gives
+the weights of m_I = +1, 0, -1,
 
-    P(m_I) raw = exp(-m_I beta) / exp(-beta)  ->  (1, e^beta, e^{2 beta}),
+    P(m_I) proportional to exp(-m_I beta)  ->  (1, e^beta, e^{2 beta}) / sum,
 
-normalized before use.  A level's population weight is the normalized
-nitrogen weight of its nominal m_I, times the electron-manifold share
-(m_S = +1 states are empty; the m_S = 0 / -1 split is ``manifold_split``),
-times a uniform factor over any carbon-13 projections.  A transition
-between levels i and j is weighted by the population difference: its
-intensity is p_ij |w_i - w_j|, so it does not jump when the two levels
-cross.  Left out: ODMR contrast also scales with the change in m_S = 0
-(bright-state) character between the two levels.
+which sum to 1.  A level's population weight is the nitrogen weight of
+its nominal m_I, times the electron-manifold share (m_S = +1 states are
+empty; the m_S = 0 / -1 split is ``manifold_split``), times a uniform
+factor over any carbon-13 projections.  A transition between levels i
+and j is weighted by the population difference: its intensity is
+p_ij |w_i - w_j|, so it does not jump when the two levels cross.  Left
+out: ODMR contrast also scales with the change in m_S = 0 (bright-state)
+character between the two levels.
 
 A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
@@ -54,22 +55,14 @@ _M_INDEX = {1: 0, 0: 1, -1: 2}  # share and populations are ordered m = +1, 0, -
 _ENTRY_FIELDS = ("i", "j", "freq_mhz", "probability", "intensity")  # one value per transition
 
 
-@dataclass(frozen=True)
-class Populations:
-    """Raw and normalized nitrogen sublevel weights, ordered m_I = +1, 0, -1."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-
-
-def populations(beta: float) -> Populations:
-    """Spin-temperature weights over the nitrogen projections."""
+def populations(beta: float) -> np.ndarray:
+    """Normalized spin-temperature weights of the nitrogen projections, ordered m_I = +1, 0, -1."""
     if not math.isfinite(beta):
         raise ValidationError(f"spin temperature must be finite, got {beta!r}")
     if abs(beta) > 300.0:
         raise ValidationError(f"spin temperature {beta!r} out of range (|beta| <= 300)")
     raw = np.exp(np.array([0.0, beta, 2.0 * beta]))
-    return Populations(raw=raw, normalized=raw / raw.sum())
+    return raw / raw.sum()
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def _weights(s_index, i_index, n_c13: int, beta: float, manifold_split: float) -
     """The weighting rule: m_S share times nitrogen population times the carbon-13 factor."""
     if not 0.0 <= manifold_split <= 1.0:
         raise ValidationError(f"manifold_split must lie in [0, 1], got {manifold_split!r}")
-    pops = populations(beta).normalized
+    pops = populations(beta)
     share = np.array([0.0, manifold_split, 1.0 - manifold_split])
     return share[s_index] * pops[i_index] * 0.5 ** n_c13
 

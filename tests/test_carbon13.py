@@ -620,6 +620,9 @@ FAMILY_HEADER = "label,multiplicity,axx_mhz,ayy_mhz,azz_mhz,cos_zz,source\n"
         (FAMILY_HEADER + "A,3,1,1,2,1,x\nB,0,1,1,2,1,x\n", "{path}:3: multiplicity must be >= 1"),
         (FAMILY_HEADER + "A,3,1,1,2,1.5,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
         (FAMILY_HEADER + "A,3,1,1,2,-0.1,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
+        (FAMILY_HEADER + "A,3,nan,1,2,1,x\n", "{path}:2: hyperfine values must be finite"),
+        (FAMILY_HEADER + "A,3,1,inf,2,1,x\n", "{path}:2: hyperfine values must be finite"),
+        (FAMILY_HEADER + "A,3,1,1,2,1,x\nB,3,1,1,-inf,1,x\n", "{path}:3: hyperfine values must be finite"),
     ],
 )
 def test_family_file_rejections_name_the_line(tmp_path, text, message):

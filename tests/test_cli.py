@@ -8,7 +8,7 @@ import pytest
 
 from nvgslac import carbon13, hamiltonian, transitions
 from nvgslac.carbon13 import MAX_ITERATIONS, McConfig, load_families, sample_placement
-from nvgslac.cli import MAX_SWEEP_FIELDS, build_parser, main
+from nvgslac.cli import MAX_SWEEP_FIELDS, _write_json, build_parser, main
 from nvgslac.fitting import FitParams, model_spectrum
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, FieldConfig, build_nv_hamiltonian
 from nvgslac.spectrum import (
@@ -482,10 +482,37 @@ def test_polarization_reads_a_report_with_curvatures(tmp_path):
     assert out.read_text().splitlines()[1] == "101,0,0,0.333333333,0.333333333,0.333333333,0,"
 
 
-def test_polarization_bad_report_is_parse_error(tmp_path):
+def _report(b_mt=101.4, area=1.0) -> str:
+    return json.dumps({
+        "params": {"beta": 0.3, "b_mt": b_mt, "width_mhz": 1.0},
+        "peak_areas": {"|0,0>": area},
+        "peak_strengths": {"|0,0>": 2.0},
+    })
+
+
+BAD_REPORTS = {
+    "{not json": "Expecting property name",
+    _report(b_mt=None): "params.b_mt must be a finite number, got None",
+    _report(b_mt="101.4"): "params.b_mt must be a finite number, got '101.4'",
+    _report(area="1.0"): "peak_areas['|0,0>'] must be a finite number, got '1.0'",
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_writer_refuses_non_finite_numbers_before_opening_the_file(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(path, {"finite": 1.0, "nested": {"value": [value]}})
+    assert not path.exists()
+
+
+def test_polarization_bad_report_is_parse_error(tmp_path, capsys):
     path = tmp_path / "r.json"
-    path.write_text("{not json")
-    assert run(["polarization", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    for text, reason in BAD_REPORTS.items():
+        path.write_text(text)
+        assert run(["polarization", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        assert f"error: {path}: not a valid fit report ({reason}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_input_files_not_modified(tmp_path):
@@ -635,6 +662,8 @@ def test_fit_of_a_non_finite_grid_is_a_parse_error(fit_input, tmp_path, monkeypa
         ("# only a comment\n", "{path}: empty calibration file"),
         ("current_a,b_mt\n33.0,95.7\n34.0\n", "{path}:3: malformed calibration row"),
         ("current_a,b_mt\n33.0,95.7\n34.0,fast\n", "{path}:3: malformed calibration row"),
+        ("current_a,b_mt\ninf,4\n2,5.8\n", "{path}:2: calibration values must be finite"),
+        ("current_a,b_mt\n1,2.9\n2,nan\n", "{path}:3: calibration values must be finite"),
     ],
 )
 def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvgslac import fitting, transitions
+from nvgslac import cli, fitting, transitions
 from nvgslac.errors import ConvergenceError, ValidationError
 from nvgslac.fitting import (
     B_SCAN_STEP_MT,
@@ -25,7 +25,6 @@ from nvgslac.fitting import (
     orientation,
     polarization_sweep,
     reduced_chi2,
-    write_fit_report,
 )
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, MAX_FIELD_MT, gslac_field
 from nvgslac.spectrum import MeasuredSpectrum
@@ -77,13 +76,6 @@ def test_reduced_chi2_grid_mismatch():
     a = MeasuredSpectrum(grid=np.linspace(0, 1, 5), values=np.zeros(5))
     with pytest.raises(ValidationError):
         reduced_chi2(a, np.zeros(6))
-
-
-def test_reduced_chi2_with_sigma():
-    grid = np.linspace(0.0, 1.0, 4)
-    data = MeasuredSpectrum(grid=grid, values=np.ones(4))
-    chi2 = reduced_chi2(data, np.zeros(4), sigma=2.0 * np.ones(4))
-    assert chi2 == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("offset_mt", [-0.05, 0.075, 0.2])
@@ -443,7 +435,7 @@ def test_fit_report_document_round_trip(tmp_path):
     result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
     doc = fit_report_document(result, {"input": "x.csv", "seed": 0})
     path = tmp_path / "report.json"
-    write_fit_report(path, result, {"input": "x.csv", "seed": 0})
+    cli._write_json(path, doc)
     loaded = json.loads(path.read_text())
     assert loaded["params"]["beta"] == pytest.approx(doc["params"]["beta"])
     assert loaded["provenance"]["input"] == "x.csv"
@@ -463,12 +455,10 @@ def _reject_constant(name):
     ids=["four_points", "all_zero"],
 )
 def test_fit_report_writes_undefined_numbers_as_null(tmp_path, grid, values):
-    from nvgslac import cli
-
     result = fit_spectrum(MeasuredSpectrum(grid=grid, values=values), FitParams(0.3, 101.4, 1.0))
     assert all(math.isnan(se) for se in result.standard_errors.values())
     path = tmp_path / "fit.json"
-    write_fit_report(path, result, {"input": "x.csv"})
+    cli._write_json(path, fit_report_document(result, {"input": "x.csv"}))
     doc = json.loads(path.read_text(), parse_constant=_reject_constant)
     assert set(doc["standard_errors"].values()) == {None}
     back = FitResult.from_document(doc)
@@ -515,6 +505,13 @@ def test_calibration_errors():
         calibrate_field([(1.0, 2.9)])
     with pytest.raises(ValidationError):
         calibrate_field([(1.0, 2.9), (1.0, 3.0)])
+    with pytest.raises(ValidationError, match="calibration points must be finite"):
+        calibrate_field([(1.0, 2.9), (2.0, math.nan)])
+    with pytest.raises(ValidationError, match="calibration points must be finite"):
+        calibrate_field([(math.inf, 4.0), (2.0, 5.8)])
+    # finite extremes overflow the fit: a line of +-inf, named before it is written
+    with pytest.raises(ValidationError, match="calibration line is not finite"):
+        calibrate_field([(1.0, 1e308), (2.0, -1e308)])
 
 
 def test_orientation_alignment_reference_points():

@@ -88,14 +88,14 @@ def test_spin1_pair_element():
 
 def test_populations_values():
     pops = populations(0.0)
-    assert np.allclose(pops.raw, [1.0, 1.0, 1.0])
-    assert np.allclose(pops.normalized, [1 / 3] * 3)
+    assert np.allclose(pops / pops[0], [1.0, 1.0, 1.0])  # the Boltzmann ratios
+    assert np.allclose(pops, [1 / 3] * 3)
     pops = populations(math.log(2.0))
-    assert np.allclose(pops.raw, [1.0, 2.0, 4.0])
-    assert np.allclose(pops.normalized, [1 / 7, 2 / 7, 4 / 7])
+    assert np.allclose(pops / pops[0], [1.0, 2.0, 4.0])
+    assert np.allclose(pops, [1 / 7, 2 / 7, 4 / 7])
     # strongly negative beta polarizes into m_I = +1
     pops = populations(-40.0)
-    assert pops.normalized[0] > 1.0 - 1e-12
+    assert pops[0] > 1.0 - 1e-12
     with pytest.raises(ValidationError):
         populations(301.0)
     with pytest.raises(ValidationError):
@@ -107,9 +107,9 @@ def test_population_scaling_cancels_in_normalized_weights():
     # weights and hence relative intensities are built from the
     # normalized form only
     pops = populations(0.7)
-    assert np.isclose(pops.normalized.sum(), 1.0)
-    scaled = pops.raw * 17.0
-    assert np.allclose(scaled / scaled.sum(), pops.normalized)
+    assert np.isclose(pops.sum(), 1.0)
+    scaled = pops * 17.0
+    assert np.allclose(scaled / scaled.sum(), pops)
 
 
 def test_intensity_zero_probability_gives_empty_table():
@@ -176,7 +176,7 @@ def test_rows_agree_with_arrays():
             assert row.i < row.j
 
 
-def test_state_weights_sum_to_one_and_split_is_checked():
+def test_level_weights_sum_to_one_and_split_is_checked():
     system = nv_system(95.0)
     stage = field_stage(system)
     w_nom = _weights(stage.s_index, stage.i_index, 0, 0.0, 1.0)
@@ -212,7 +212,7 @@ def test_lo_band_weight_is_continuous_through_the_crossing():
     assert np.max(np.abs(np.diff(weights))) < 0.01
 
 
-def test_select_rows_modes():
+def test_band_modes_split_the_rows():
     table = nv_table(95.0)
     hi = nv_table(95.0, mode="hi")
     lo = nv_table(95.0, mode="lo")
