@@ -228,7 +228,10 @@ def cmd_calibrate(args) -> int:
             if not all(map(math.isfinite, point)):
                 raise ParseError(f"{args.input}:{lineno}: calibration values must be finite")
             points.append(point)
-    model = calibrate_field(points)
+    try:
+        model = calibrate_field(points)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.input}: {exc}") from None
     doc = {
         "slope_mt_per_a": model.slope,
         "intercept_mt": model.intercept,

@@ -394,8 +394,10 @@ def fit_spectrum(
 
 
 def calibrate_field(points) -> CalibrationModel:
-    """Ordinary least-squares line through finite (coil current, fitted field) points;
-    an overflow in the fit shows as a line that is not finite, and is refused."""
+    """Ordinary least-squares line through finite (coil current, fitted field) points.
+
+    Currents whose spread overflows are refused, and so is an overflow in
+    the fit, which shows as a line that is not finite."""
     points = [(float(c), float(b)) for c, b in points]
     if len(points) < 2:
         raise ValidationError("calibration needs at least two points")
@@ -403,7 +405,12 @@ def calibrate_field(points) -> CalibrationModel:
     if not np.isfinite(points).all():
         raise ValidationError("calibration points must be finite")
     with np.errstate(all="ignore"):
-        if np.ptp(currents) == 0.0:
+        spread = np.ptp(currents)
+        if not math.isfinite(spread):
+            raise ValidationError(
+                f"calibration currents {currents.min():g} to {currents.max():g} span more than the float range"
+            )
+        if spread == 0.0:
             raise ValidationError("calibration currents are degenerate")
         try:
             slope, intercept = map(float, np.polyfit(currents, fields, 1))

@@ -118,8 +118,10 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     """
     if not (width > 0 and math.isfinite(width)):
         raise ValidationError(f"linewidth must be positive and finite, got {width!r}")
-    grid = require_grid(grid)
     hwhm = float(width)
+    if not math.isfinite(math.pi * hwhm * hwhm):
+        raise ValidationError(f"linewidth {width!r} MHz is too large: pi times its square overflows")
+    grid = require_grid(grid)
     centers = table.freq_mhz[:, None]
     amplitudes = table.intensity[:, None]
     peaks = np.empty((len(table), 3))

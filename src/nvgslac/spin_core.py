@@ -10,11 +10,16 @@ Conventions used throughout the package:
 Eigensolving is stacked (:func:`eigensolve` is the n = 1 case).  One
 routine, :func:`assign_labels`, decides every label: each eigenvector takes
 the label of its largest squared overlap, an argmax over the stack; where
-that argmax is not a permutation (at level crossings) a greedy bijection
-decides, which equals the argmax wherever it is one.  Its three callers are
-:func:`eigensolve_stack` (basis overlaps of a solved stack),
-:func:`label_states` (one given system) and ``hamiltonian.level_sweep``
-(overlaps with the previous field's eigenvectors and labels).
+that argmax is not a permutation (at level crossings of the 9-dim space,
+and on nearly every carbon-13 space) a greedy bijection decides, which
+equals the argmax wherever it is one.  The greedy bijection is the matching
+a walk over the overlaps in descending order takes; it is built in rounds,
+each matching every eigenvector and label that are each other's best free
+choice, which gives the walk's matching without sorting the d**2 overlaps.
+The three callers of :func:`assign_labels` are :func:`eigensolve_stack`
+(basis overlaps of a solved stack), :func:`label_states` (one given system)
+and ``hamiltonian.level_sweep`` (overlaps with the previous field's
+eigenvectors and labels).
 """
 
 from __future__ import annotations
@@ -202,25 +207,37 @@ class EigenSystem:
 def _greedy_bijection(weight: np.ndarray) -> np.ndarray:
     """Assign rows to columns greedily by descending weight.
 
-    Ties are broken by lower column index, then lower row index. Returns
-    ``assign`` with assign[row] = column.
+    The greedy walk visits the entries by (-weight, column, row) and takes
+    each one whose row and column are both still free.  Returns ``assign``
+    with assign[row] = column, -1 for a row left over when there are more
+    rows than columns.
+
+    The walk is run as rounds of mutual best choices on the free rows and
+    columns: each free row picks its best free column (lowest column on
+    ties), each free column its best free row (lowest row on ties), and
+    every row and column that pick each other are matched and dropped.
+    Such an entry comes first in the walk's order among the free entries
+    of its row and of its column.  Suppose the pairs of earlier rounds are
+    pairs of the walk.  Every entry the walk visits before this one in its
+    row or column then lies in a column or row the walk matches to another
+    partner, so the walk takes none of them, finds this entry's row and
+    column free and takes it.  By induction every round's pairs are the
+    walk's.  Each round matches at least the first free entry in the walk's
+    order, and the rounds end with min(rows, columns) pairs, as many as the
+    walk takes, so the two matchings are the same.
     """
     n_rows, n_cols = weight.shape
-    # A stable sort of the column-major weights visits ties by column, then row.
-    order = np.argsort(-weight.T.ravel(), kind="stable")
-    assign = [-1] * n_rows
-    col_used = [False] * n_cols
-    remaining = min(n_rows, n_cols)
-    for flat in map(int, order):  # lazily: the loop usually ends long before d**2 entries
-        c, r = divmod(flat, n_rows)
-        if assign[r] >= 0 or col_used[c]:
-            continue
-        assign[r] = c
-        col_used[c] = True
-        remaining -= 1
-        if remaining == 0:
-            break
-    return np.array(assign)
+    assign = np.full(n_rows, -1)
+    rows, cols = np.arange(n_rows), np.arange(n_cols)
+    free = weight
+    while rows.size and cols.size:
+        row_pick = free.argmax(axis=1)  # argmax takes the first maximum: the lowest index
+        mutual = free.argmax(axis=0)[row_pick] == np.arange(rows.size)
+        assign[rows[mutual]] = cols[row_pick[mutual]]
+        rows = rows[~mutual]
+        cols = np.delete(cols, row_pick[mutual])
+        free = weight[np.ix_(rows, cols)]
+    return assign
 
 
 def assign_labels(vectors: np.ndarray, labels) -> list:

@@ -186,6 +186,15 @@ def test_simulate_infinite_width_is_validation_error(tmp_path, capsys):
     assert "linewidth must be positive and finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc13"])
+def test_width_whose_square_overflows_is_validation_error(tmp_path, capsys, command):
+    args = [command, "--b-mt", "100", "--grid", "5600:5700:1", "--width-mhz", "1e308"]
+    if command == "mc13":
+        args += ["--mode", "hi", "--iterations", "2"]
+    assert run(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "linewidth 1e+308 MHz is too large" in capsys.readouterr().err
+
+
 def test_simulate_oversized_grid_is_resource_limit(tmp_path, capsys):
     code = run(
         ["simulate", "--b-mt", "101.5", "--grid", "0:1e9:1e-9", "--out", str(tmp_path / "x")]
@@ -670,6 +679,24 @@ def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):
     path = tmp_path / "cal.csv"
     path.write_text(text)
     assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 3
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not (tmp_path / "cal.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("current_a,b_mt\n1,2.9\n1,3.0\n", "{path}: calibration currents are degenerate"),
+        (
+            "current_a,b_mt\n-1e308,1\n1e308,2\n",
+            "{path}: calibration currents -1e+308 to 1e+308 span more than the float range",
+        ),
+    ],
+)
+def test_calibrate_line_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "cal.csv"
+    path.write_text(text)
+    assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 2
     assert f"error: {message.format(path=path)}" in capsys.readouterr().err
     assert not (tmp_path / "cal.json").exists()
 

@@ -512,6 +512,9 @@ def test_calibration_errors():
     # finite extremes overflow the fit: a line of +-inf, named before it is written
     with pytest.raises(ValidationError, match="calibration line is not finite"):
         calibrate_field([(1.0, 1e308), (2.0, -1e308)])
+    # currents whose spread overflows: np.polyfit would return a finite, flat line
+    with pytest.raises(ValidationError, match="currents -1e\\+308 to 1e\\+308 span more than the float range"):
+        calibrate_field([(-1e308, 1.0), (1e308, 2.0)])
 
 
 def test_orientation_alignment_reference_points():

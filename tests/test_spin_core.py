@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from conftest import greedy_bijection_walk
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from nvgslac import spin_core
+from nvgslac.carbon13 import C13Placement, build_full_hamiltonian, load_families, site_list
 from nvgslac.errors import ValidationError
+from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
 from nvgslac.spin_core import (
     EigenSystem,
     default_basis_labels,
@@ -155,3 +162,29 @@ def test_label_count_must_match_the_dimension():
 
     with pytest.raises(ValidationError, match="number of basis labels must equal the system dim"):
         assign_labels(np.eye(9)[None], product_basis_labels(0)[:8])
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=11), elements=st.integers(0, 3)))
+def test_greedy_bijection_equals_the_sort_and_walk_on_tied_weights(weight):
+    # Four weight values over up to 121 entries: ties in rows, columns and across both.
+    assert np.array_equal(spin_core._greedy_bijection(weight), greedy_bijection_walk(weight))
+
+
+@pytest.mark.parametrize("n_c13", range(1, 7))  # d = 18 ... 576
+def test_carbon13_labels_equal_the_sort_and_walk(n_c13):
+    families = load_families()
+    sites = site_list(families)
+    rng = np.random.default_rng(n_c13)
+    placement = C13Placement(
+        occupied=tuple(sites[k] for k in sorted(rng.choice(len(sites), n_c13, replace=False)))
+    )
+    field = FieldConfig(b=102.4 + rng.uniform(-1.0, 1.0))
+    base = build_nv_hamiltonian(DEFAULT_CONSTANTS, field)
+    h = build_full_hamiltonian(base, placement, families, field, DEFAULT_CONSTANTS)
+    labels = product_basis_labels(n_c13)
+    system = eigensolve(h, labels)
+    weight = (np.abs(system.vectors) ** 2).T
+    assign = greedy_bijection_walk(weight)
+    assert np.array_equal(spin_core._greedy_bijection(weight), assign)
+    assert system.labels == tuple(labels[a] for a in assign)

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import nv_system
+from conftest import greedy_bijection_walk, nv_system
 
 from nvgslac import spin_core
 from nvgslac.carbon13 import McConfig, load_families, mc_average_spectrum, sample_placement
@@ -256,21 +256,20 @@ def test_stacked_labels_equal_the_greedy_bijection_on_every_system(monkeypatch):
         systems = [stage.system for stage in FieldStages(C, theta)(fields)]
         monkeypatch.setattr(spin_core, "_greedy_bijection", greedy)
         for system in systems:
-            assign = greedy((np.abs(system.vectors) ** 2).T)
+            assign = greedy_bijection_walk((np.abs(system.vectors) ** 2).T)
             assert system.labels == tuple(NV_N14_LABELS[a] for a in assign)
     assert fallbacks  # argmax is not a permutation at some level crossings
 
 
 def test_level_sweep_labels_follow_the_greedy_predecessor_rule():
-    greedy = spin_core._greedy_bijection
     fields = 100.0 + 1e-3 * np.arange(5001)  # 100-105 mT in 1 uT steps
     for theta in (0.0, 0.3, 2.0):
         swept = level_sweep(C, fields, theta_deg=theta)
-        assign = greedy((np.abs(swept[0].vectors) ** 2).T)
+        assign = greedy_bijection_walk((np.abs(swept[0].vectors) ** 2).T)
         labels = tuple(NV_N14_LABELS[a] for a in assign)
         assert swept[0].labels == labels
         for prev, system in zip(swept, swept[1:]):
-            assign = greedy((np.abs(prev.vectors.conj().T @ system.vectors) ** 2).T)
+            assign = greedy_bijection_walk((np.abs(prev.vectors.conj().T @ system.vectors) ** 2).T)
             labels = tuple(labels[a] for a in assign)
             assert system.labels == labels
 
