@@ -24,7 +24,7 @@ class ParseError(NvGslacError, ValueError):
 
 
 class ConvergenceError(NvGslacError, RuntimeError):
-    """Optimizer exhausted its evaluation budget."""
+    """No optimizer search converged."""
 
     exit_code = 4
 

@@ -6,8 +6,10 @@ The amplitude s* is linear and projected out in closed form (variable
 projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), the
 non-negative least-squares scale at every evaluation, so scaling data and
 model together does not move the optimum.  A bounded trust-region solver
-(``scipy.optimize.least_squares``, trf) searches the projected residual;
-standard errors come from its final Jacobian.
+(``scipy.optimize.least_squares``, trf, capped at 100 residual evaluations
+per free parameter) searches the projected residual from starts inside the
+bounds; the fit reports the lowest converged end and the standard errors
+from its Jacobian.
 
 More than 0.5 mT from the anticrossing the field is free within +-0.5 mT
 of its start.  A 1-d scan over those bounds, in steps of at most
@@ -31,7 +33,7 @@ The command line writes :func:`fit_report_document` as strict JSON and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
@@ -60,7 +62,7 @@ DIFF_STEPS = {"beta": 1e-6, "width": 1e-6, "b": 1e-6, "manifold_split": 1e-4}
 # A parameter within this many finite-difference steps of a bound is flagged at_bound.
 BOUND_STEPS = 10
 # Field stages one fit keeps, least recently used dropped first.  A 9x9 stage
-# holds about 4.7 kB, so whatever the evaluation budget a fit keeps under 5 MB.
+# holds about 4.7 kB, so however many fields a fit meets it keeps under 5 MB.
 FIELD_CACHE_SIZE = 1024
 
 ORIENTATION_SCALE = math.sqrt(1.5)
@@ -213,10 +215,6 @@ def _optimal_scale(data_values: np.ndarray, model_values: np.ndarray) -> float:
     return max(float(np.dot(data_values, model_values)) / denom, 0.0)
 
 
-class _BudgetSpent(Exception):
-    """Raised by a fit's counted residual once its evaluation budget is spent."""
-
-
 def _standard_errors(jac: np.ndarray, cost: float, n_points: int) -> tuple:
     """(s2, sqrt(diag s2 (J^T J)^-1)), s2 = |r|^2 / (N - p - 1) as the amplitude is fitted too;
     an error is infinite along a direction J does not see."""
@@ -240,47 +238,47 @@ def fit_spectrum(
     initial: FitParams,
     mode: str = "hi",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    max_evaluations: int = 100_000,
 ) -> FitResult:
     """Fit one measured sweep by bounded least squares, the amplitude projected out.
 
     Free are beta, width and, more than 0.5 mT from the anticrossing, the
     field (within +-0.5 mT and [0, ``MAX_FIELD_MT``]); nearer, the field
     is fixed and the manifold split is free.  All stay within
-    ``DEFAULT_BOUNDS``; starts outside them are clipped in.  The start
-    field comes from the field scan (the start point when the field is
-    fixed), then a ``START_GRID`` (5 x 5) beta x width grid is scored at
-    it (see the module docstring).  From the best ``N_RESTARTS`` (2)
-    starts, ``least_squares`` (trf, box bounds, ``x_scale="jac"``,
-    relative difference steps ``DIFF_STEPS``) minimizes data - s* model.
+    ``DEFAULT_BOUNDS``.  The start field comes from the field scan (the
+    start point when the field is fixed), then a ``START_GRID`` (5 x 5)
+    beta x width grid is scored at it (see the module docstring).  From
+    the best ``N_RESTARTS`` (2) starts, ``least_squares`` (trf, box
+    bounds, ``x_scale="jac"``, relative difference steps ``DIFF_STEPS``)
+    minimizes data - s* model.
 
     Every model evaluation, finite-difference Jacobian columns included,
-    counts towards ``n_evaluations`` and is spent from
-    ``max_evaluations``; ``evaluation_split`` holds its scan, grid and
-    search parts.  A search cut short by the budget has not converged,
-    and ``ConvergenceError`` is raised if no search converged.
+    counts towards ``n_evaluations``; ``evaluation_split`` holds its scan,
+    grid and search parts.  A search stopped by trf's own cap (100
+    residual evaluations per free parameter) has not converged, and
+    ``ConvergenceError`` is raised if no search converged.
 
     One ``transitions.FieldStages`` per call holds what does not depend on
     B; its ``at`` solves each B met once (in an LRU cache of the call, of
     at most ``FIELD_CACHE_SIZE`` stages), so an evaluation runs only the
     population stage and the synthesis.
 
-    The reported parameters, table and model are the best evaluation's;
-    ``standard_errors`` come from the final Jacobian of the search that
-    ended lowest (:func:`_standard_errors`).  Flags, in this order:
+    The report describes the lowest converged end, evaluated once more as
+    a search evaluation; ``standard_errors`` come from its search's final
+    Jacobian (:func:`_standard_errors`).  Flags, in this order:
     ``b_fixed_near_gslac``; ``at_bound:<name>`` for a parameter within
     ``BOUND_STEPS`` (10) difference steps of a bound; ``ambiguous_basin``
     (:func:`_ambiguous_basin`).
 
-    A non-finite start value, or a start field and angle that make no
-    valid ``FieldConfig``, is a ``ValidationError`` before any evaluation.
+    A start beta, width or manifold split outside ``DEFAULT_BOUNDS`` (NaN
+    included), or a start field and angle that make no valid
+    ``FieldConfig``, is a ``ValidationError`` before any evaluation.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
-    for name in (f.name for f in fields(initial)):
+    for name, (lo, hi) in DEFAULT_BOUNDS.items():
         value = getattr(initial, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"fit start {name} must be finite, got {value!r}")
+        if not lo <= value <= hi:
+            raise ValidationError(f"fit start {name} must lie in [{lo!r}, {hi!r}], got {value!r}")
     FieldConfig(initial.b, initial.theta_deg)  # names a bad start field or angle
     stages = FieldStages(constants, initial.theta_deg, mode)
     field_stage = lru_cache(maxsize=FIELD_CACHE_SIZE)(stages.at)
@@ -292,26 +290,22 @@ def fit_spectrum(
     lower, upper = np.array([bounds[name] for name in names]).T
 
     evaluations = {"scan": 0, "grid": 0, "search": 0}
-    best = (math.inf, None, 0.0, None, None)  # (|r|, params, scale, table, model) of the best one
 
     def unpack(x) -> FitParams:
         return replace(initial, **dict(zip(names, x)))
 
-    def residual(x, part: str) -> np.ndarray:
-        """Counted data - s* model; keeps the best evaluation, with its table and model."""
-        nonlocal best
-        if sum(evaluations.values()) >= max_evaluations:
-            raise _BudgetSpent
+    def evaluate(x, part: str) -> tuple:
+        """Counted (params, table, model, s*) at x."""
         evaluations[part] += 1
         params = unpack(x)
         table = _weigh(field_stage(params.b), params)
         model = synthesize(table, params.width, data.grid)
-        scale = _optimal_scale(data.values, model.values)
-        r = data.values - scale * model.values
-        norm = float(np.linalg.norm(r))
-        if norm < best[0]:
-            best = (norm, params, scale, table, model)
-        return r
+        return params, table, model, _optimal_scale(data.values, model.values)
+
+    def residual(x, part: str) -> np.ndarray:
+        """Counted data - s* model."""
+        *_, model, scale = evaluate(x, part)
+        return data.values - scale * model.values
 
     # Coarse scoring grid over (beta, width), other parameters at their
     # start.  The grid spans the plausible region around the initial
@@ -326,7 +320,8 @@ def fit_spectrum(
     )
 
     def start_vector(beta0, width0, b0) -> np.ndarray:
-        return np.clip([beta0, width0, b0 if b_free else initial.manifold_split], lower, upper)
+        """A scan or grid point; inside the bounds, as the start and both grids are."""
+        return np.array([beta0, width0, b0 if b_free else initial.manifold_split])
 
     def score(vectors, part: str) -> list:
         return [(np.linalg.norm(residual(x, part)), x) for x in vectors]
@@ -336,30 +331,25 @@ def fit_spectrum(
     if b_free:
         n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
         b_starts, beta_scan = np.linspace(b_lo, b_hi, n_scan), 0.0
+    scan = [start_vector(beta_scan, initial.width, b0) for b0 in b_starts]
+    starts = [min(score(scan, "scan"), key=itemgetter(0))]
+    b_start = unpack(starts[0][1]).b
+    grid = [start_vector(beta0, width0, b_start) for beta0 in beta_grid for width0 in width_grid]
+    starts += score(grid, "grid")
+    starts.sort(key=itemgetter(0))
     ends = []
-    try:
-        scan = [start_vector(beta_scan, initial.width, b0) for b0 in b_starts]
-        starts = [min(score(scan, "scan"), key=itemgetter(0))]
-        b_start = unpack(starts[0][1]).b
-        grid = [start_vector(beta0, width0, b_start) for beta0 in beta_grid for width0 in width_grid]
-        starts += score(grid, "grid")
-        starts.sort(key=itemgetter(0))
-        for _, x0 in starts[:N_RESTARTS]:
-            end = least_squares(
-                residual, x0, bounds=(lower, upper), method="trf", x_scale="jac",
-                diff_step=[DIFF_STEPS[name] for name in names], args=("search",),
-            )
-            if end.status > 0:
-                ends.append(end)
-    except _BudgetSpent:
-        pass  # the searches that converged before it stand
-
-    n_evaluations = sum(evaluations.values())
-    _, params, scale, table, model = best
+    for _, x0 in starts[:N_RESTARTS]:
+        end = least_squares(
+            residual, x0, bounds=(lower, upper), method="trf", x_scale="jac",
+            diff_step=[DIFF_STEPS[name] for name in names], args=("search",),
+        )
+        if end.status > 0:
+            ends.append(end)
     if not ends:
-        spent = f"{n_evaluations} evaluations spent of a budget of {max_evaluations}"
-        raise ConvergenceError(f"fit did not converge: {spent}")
+        raise ConvergenceError(f"fit did not converge: {sum(evaluations.values())} evaluations spent")
 
+    final = min(ends, key=attrgetter("cost"))
+    params, table, model, scale = evaluate(final.x, "search")
     chi2 = reduced_chi2(data, scale * model.values)
     areas, strengths = {}, {}
     for i, probability, intensity in zip(
@@ -369,7 +359,6 @@ def fit_spectrum(
         areas[key] = areas.get(key, 0.0) + scale * intensity
         strengths[key] = strengths.get(key, 0.0) + probability
 
-    final = min(ends, key=attrgetter("cost"))
     s2, errors = _standard_errors(final.jac, final.cost, data.grid.size)
     flags = [] if b_free else ["b_fixed_near_gslac"]
     for name, lo, hi in zip(names, lower, upper):
@@ -387,14 +376,16 @@ def fit_spectrum(
         peak_strengths=strengths,
         scale=scale,
         standard_errors=dict(zip(names, errors.tolist())),
-        n_evaluations=n_evaluations,
+        n_evaluations=sum(evaluations.values()),
         evaluation_split=evaluations,
         flags=tuple(flags),
     )
 
 
 def calibrate_field(points) -> CalibrationModel:
-    """Ordinary least-squares line through finite (coil current, fitted field) points.
+    """Ordinary least-squares line through finite (coil current, fitted field) points,
+    in closed form on the currents centred and divided by their spread and the
+    fields scaled by a power of two into [-1, 1].
 
     Currents whose spread overflows are refused, and so is an overflow in
     the fit, which shows as a line that is not finite."""
@@ -412,10 +403,14 @@ def calibrate_field(points) -> CalibrationModel:
             )
         if spread == 0.0:
             raise ValidationError("calibration currents are degenerate")
-        try:
-            slope, intercept = map(float, np.polyfit(currents, fields, 1))
-        except np.linalg.LinAlgError:  # LAPACK met a non-finite scaled value
-            slope = intercept = math.nan
+        scaled = (currents - currents.min()) / spread  # within [0, 1]
+        centre = scaled.mean()
+        scaled -= centre
+        _, exponent = np.frexp(np.abs(fields).max())
+        fields = np.ldexp(fields, -exponent)  # within [-1, 1], so their mean cannot overflow
+        mean = fields.mean()
+        slope = float(np.ldexp(np.dot(scaled, fields - mean) / np.dot(scaled, scaled) / spread, exponent))
+        intercept = float(np.ldexp(mean, exponent) - slope * (currents.min() + centre * spread))
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise ValidationError(f"calibration line is not finite: slope {slope}, intercept {intercept}")
     return CalibrationModel(slope=slope, intercept=intercept, fit_range=tuple(sorted(currents)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,8 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     hwhm = float(width)
     if not math.isfinite(math.pi * hwhm * hwhm):
         raise ValidationError(f"linewidth {width!r} MHz is too large: pi times its square overflows")
+    if hwhm * hwhm < sys.float_info.min:
+        raise ValidationError(f"linewidth {width!r} MHz is too small: its square underflows")
     grid = require_grid(grid)
     centers = table.freq_mhz[:, None]
     amplitudes = table.intensity[:, None]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from nvgslac import fitting
 from nvgslac.hamiltonian import DEFAULT_CONSTANTS, FieldConfig, build_nv_hamiltonian
 from nvgslac.spin_core import eigensolve
 from nvgslac.transitions import transition_table
@@ -24,6 +26,18 @@ def nv_table(b, beta=0.0, mode=None, theta_deg=0.0, constants=DEFAULT_CONSTANTS,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def unconverged_searches(monkeypatch):
+    """Every fit search runs, then reports status 0: stopped, not converged."""
+
+    def unconverged(*args, **kwargs):
+        end = least_squares(*args, **kwargs)
+        end.status = 0
+        return end
+
+    monkeypatch.setattr(fitting, "least_squares", unconverged)
 
 
 def greedy_bijection_walk(weight):

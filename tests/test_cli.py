@@ -365,6 +365,10 @@ def fit_input(tmp_path):
         ("--beta", "-inf"),
         ("--width-mhz", "nan"),
         ("--width-mhz", "inf"),
+        # finite, but outside the fit's bounds
+        ("--width-mhz", "1e+308"),
+        ("--width-mhz", "50.0"),
+        ("--beta", "7.0"),
     ],
 )
 def test_fit_bad_start_rejected_before_any_evaluation(
@@ -691,14 +695,46 @@ def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):
             "current_a,b_mt\n-1e308,1\n1e308,2\n",
             "{path}: calibration currents -1e+308 to 1e+308 span more than the float range",
         ),
+        # subnormal currents: the slope overflows, with no LAPACK lines on the terminal
+        (
+            "current_a,b_mt\n1e-310,1\n2e-310,2\n",
+            "{path}: calibration line is not finite: slope inf, intercept -inf",
+        ),
     ],
 )
-def test_calibrate_line_errors_name_the_file(tmp_path, capsys, text, message):
+def test_calibrate_line_errors_name_the_file(tmp_path, capfd, text, message):
     path = tmp_path / "cal.csv"
     path.write_text(text)
     assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 2
-    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert capfd.readouterr() == ("", f"error: {message.format(path=path)}\n")
     assert not (tmp_path / "cal.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, slope, intercept",
+    [
+        # tiny currents: a finite line, no LAPACK lines on the terminal
+        ("1e-300,1\n2e-300,2\n", 1e300, 0.0),
+        # currents near the float range: no RankWarning and no flat line
+        ("-1e307,1\n1e307,2\n", 5e-308, 1.5),
+        # fields near the float range, whose sum overflows
+        ("1,1e308\n2,1.7e308\n", 7e307, 3e307),
+    ],
+)
+def test_calibrate_fits_finite_lines_at_any_magnitude(tmp_path, capfd, rows, slope, intercept):
+    path = tmp_path / "cal.csv"
+    path.write_text("current_a,b_mt\n" + rows)
+    assert run(["calibrate", str(path), "--out", str(tmp_path / "cal.json")]) == 0
+    doc = json.loads((tmp_path / "cal.json").read_text())
+    assert doc["slope_mt_per_a"] == pytest.approx(slope, rel=1e-15, abs=0.0)
+    assert doc["intercept_mt"] == pytest.approx(intercept, rel=1e-15, abs=1e-15)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_unconverged_fit_exits_4(fit_input, tmp_path, unconverged_searches, capsys):
+    assert run(["fit", str(fit_input), "--out", str(tmp_path / "r.json")]) == 4
+    assert "error: fit did not converge: " in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_mc13_builds_the_carbon_free_hamiltonian_once(tmp_path, monkeypatch):

@@ -81,6 +81,9 @@ def test_synthesize_rejects_bad_width_and_grid():
     for width in (1e308, 1e154):  # finite, but pi * width**2 overflows
         with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too large")):
             synthesize(table, width, np.linspace(0, 1, 5))
+    for width in (1e-200, 1e-160):  # positive, but width**2 underflows
+        with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too small")):
+            synthesize(table, width, np.linspace(0, 1, 5))
     bad_grids = (np.array([]), None, np.zeros((2, 5)), np.array([0.0, np.nan, 1.0]), [np.inf])
     for grid in bad_grids:
         shape = np.shape(np.asarray(grid, dtype=float))
