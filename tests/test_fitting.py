@@ -185,18 +185,35 @@ def model_calls(monkeypatch):
 
 
 def test_fit_nonconvergence_raises(model_calls, unconverged_searches):
-    near = gslac_field(C) + 0.1
-    cases = [
-        (synthetic_spectrum(0.4, 101.5, 1.0, seed=9)[0], FitParams(beta=0.0, b=101.45, width=1.0)),
-        (synthetic_spectrum(0.3, near, 1.2, seed=4)[0], FitParams(beta=0.0, b=near, width=1.2)),
-    ]
-    for data, start in cases:
-        del model_calls[:]  # the data's own model spectrum
-        with pytest.raises(ConvergenceError) as raised:
-            fit_spectrum(data, start)
-        # every evaluation is named, the searches' Jacobian columns included
-        assert str(raised.value) == f"fit did not converge: {len(model_calls)} evaluations spent"
-        assert len(model_calls) > 21 + 25 + 2 * 3
+    data, _ = synthetic_spectrum(0.4, 101.5, 1.0, seed=9)
+    del model_calls[:]  # the data's own model spectrum
+    with pytest.raises(ConvergenceError) as raised:
+        fit_spectrum(data, FitParams(beta=0.0, b=101.45, width=1.0))
+    # the field scan and the start grid are named too
+    assert str(raised.value) == f"fit did not converge: {len(model_calls)} evaluations spent"
+    assert len(model_calls) > 21 + 25 + 2 * 3
+
+
+def test_fit_budget_counts_jacobian_evaluations(monkeypatch, model_calls):
+    # B fixed: 1 start point and 25 grid points, then each search's residuals
+    # and its 3 Jacobian columns, all named in the message
+    ends = []
+
+    def unconverged(*args, **kwargs):
+        ends.append(least_squares(*args, **kwargs))
+        ends[-1].status = 0
+        return ends[-1]
+
+    monkeypatch.setattr(fitting, "least_squares", unconverged)
+    b = gslac_field(C) + 0.1
+    data, _ = synthetic_spectrum(0.3, b, 1.2, seed=4)
+    del model_calls[:]
+    with pytest.raises(ConvergenceError) as raised:
+        fit_spectrum(data, FitParams(beta=0.0, b=b, width=1.2))
+    assert len(ends) == fitting.N_RESTARTS
+    expected = 1 + 25 + sum(end.nfev + 3 * end.njev for end in ends)
+    assert len(model_calls) == expected
+    assert str(raised.value) == f"fit did not converge: {expected} evaluations spent"
 
 
 @pytest.mark.parametrize(
