@@ -60,8 +60,6 @@ from .spin_core import (
 )
 
 KAPPA2_SIGNS = ("minus", "plus")
-# Most fields one (n, 9, 9) stack holds: about 1.3 MB per complex array.
-SOLVE_CHUNK = 1024
 # Largest field magnitude (mT), 1,000x the GSLAC field; gamma_e * B overflows near 1e307.
 MAX_FIELD_MT = 1e5
 
@@ -129,11 +127,6 @@ def parse_constants_file(path) -> PhysicalConstants:
     return replace(DEFAULT_CONSTANTS, **overrides)
 
 
-def _valid_magnitude(b):
-    """The field-magnitude rule of ``FieldConfig``, elementwise: 0 <= b <= ``MAX_FIELD_MT`` mT."""
-    return (b >= 0) & (b <= MAX_FIELD_MT)
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """Static field: magnitude (0 to ``MAX_FIELD_MT`` mT) and orientation relative to the NV axis."""
@@ -143,8 +136,12 @@ class FieldConfig:
     phi_deg: float = 0.0
 
     def __post_init__(self):
-        if not _valid_magnitude(self.b):
-            rule = f"<= {MAX_FIELD_MT:g} mT" if self.b > MAX_FIELD_MT else ">= 0"
+        if not 0.0 <= self.b <= MAX_FIELD_MT:
+            rule = (
+                f"<= {MAX_FIELD_MT:g} mT" if self.b > MAX_FIELD_MT
+                else ">= 0" if self.b < 0
+                else "a finite number"  # nan
+            )
             raise ValidationError(f"field magnitude must be {rule}, got {self.b!r}")
         if not 0.0 <= self.theta_deg < 180.0:
             raise ValidationError(f"theta must lie in [0, 180), got {self.theta_deg!r}")
@@ -206,33 +203,10 @@ def build_nv_hamiltonian(
     H is a weighted sum of the operators of ``nv_spin_model()``, built once
     per process, so a call only scales and adds 9x9 arrays.  The terms keep
     the order and grouping of an explicit ``embed``/``kron`` build, which
-    gives the same bits.  The terms free of the field magnitude come from
-    ``_field_terms``, once per fit; :func:`solve_fields` builds a stack
-    from the same expression, with the field magnitude broadcast over it.
+    gives the same bits.  ``transitions.FieldStages`` and :func:`level_sweep`
+    build their (n, 9, 9) stacks from the same B-free ``_field_terms``.
     """
     return _hamiltonian(_field_terms(constants, field_cfg.direction()), field_cfg.b)
-
-
-def solve_fields(
-    constants: PhysicalConstants, fields, theta_deg: float = 0.0, phi_deg: float = 0.0
-):
-    """Iterator over the eigen-systems of a field sweep, one list per stack of fields.
-
-    Every field and both angles are checked as ``FieldConfig`` checks them
-    before any work, the first field first as a per-field loop would.  The
-    sweep is then built, checked, solved and labeled (see ``spin_core``) in
-    (n, 9, 9) stacks of at most ``SOLVE_CHUNK`` fields, each made when the
-    iterator reaches it.  Every system has the bits of the one-field path.
-    """
-    b = np.asarray(fields, dtype=float)
-    direction = FieldConfig(fields[0] if b.size else 0.0, theta_deg, phi_deg).direction()
-    if not _valid_magnitude(b).all():
-        FieldConfig(fields[np.flatnonzero(~_valid_magnitude(b))[0]], theta_deg, phi_deg)
-    terms = _field_terms(constants, direction)
-    return (
-        eigensolve_stack(_hamiltonian(terms, b[k : k + SOLVE_CHUNK, None, None]))
-        for k in range(0, b.size, SOLVE_CHUNK)
-    )
 
 
 def truncated_hamiltonian(constants: PhysicalConstants, b: float) -> np.ndarray:
@@ -248,7 +222,9 @@ def truncated_hamiltonian(constants: PhysicalConstants, b: float) -> np.ndarray:
 
 
 def gslac_field(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Field (mT) where the electron Zeeman shift cancels the zero-field splitting."""
+    """Field (mT) where the electron Zeeman shift cancels the zero-field splitting (gamma_e != 0)."""
+    if constants.gamma_e == 0.0:
+        raise ValidationError(f"gamma_e must be nonzero, got {constants.gamma_e!r}")
     return constants.d_g / constants.gamma_e
 
 
@@ -383,16 +359,19 @@ def level_sweep(
 ) -> list:
     """Eigen-systems over a field range with labels tracked continuously.
 
-    The fields are solved by :func:`solve_fields`, which labels each by
-    basis overlap; each point after the first then inherits labels from
-    its predecessor by ``spin_core.assign_labels`` on the overlaps of the
-    two fields' eigenvectors, so a label follows one adiabatic branch
-    through anticrossings.
+    Each field is checked as a ``FieldConfig``; the sweep is then solved as
+    one (n, 9, 9) stack from ``_field_terms`` and labeled by basis
+    overlap.  Each point after the first then inherits labels from its
+    predecessor by ``spin_core.assign_labels`` on the overlaps of the two
+    fields' eigenvectors, so a label follows one adiabatic branch through
+    anticrossings.
     """
     fields = [float(b) for b in fields]
     if not fields:
         raise ValidationError("field range must be nonempty")
-    systems = [s for chunk in solve_fields(constants, fields, theta_deg, phi_deg) for s in chunk]
+    direction = [FieldConfig(b, theta_deg, phi_deg) for b in fields][0].direction()
+    hs = _hamiltonian(_field_terms(constants, direction), np.array(fields)[:, None, None])
+    systems = eigensolve_stack(hs, NV_N14_LABELS)
     for k in range(1, len(systems)):
         prev, v = systems[k - 1], systems[k].vectors
         labels = assign_labels((prev.vectors.conj().T @ v)[None], prev.labels)[0]

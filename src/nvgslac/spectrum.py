@@ -38,8 +38,22 @@ SYNTH_BLOCK_POINTS = 1 << 15
 MAX_GRID_POINTS = 10**7
 
 
+def _linewidth(width) -> float:
+    """``width`` as a float; raise unless it is positive and finite, pi times its square
+    is finite and its square is a normal float."""
+    if not (width > 0 and math.isfinite(width)):
+        raise ValidationError(f"linewidth must be positive and finite, got {width!r}")
+    hwhm = float(width)
+    if not math.isfinite(math.pi * hwhm * hwhm):
+        raise ValidationError(f"linewidth {width!r} MHz is too large: pi times its square overflows")
+    if hwhm * hwhm < sys.float_info.min:
+        raise ValidationError(f"linewidth {width!r} MHz is too small: its square underflows")
+    return hwhm
+
+
 def lorentzian(freq, center: float, hwhm: float):
-    """Unit-area Lorentzian with half width at half maximum ``hwhm``."""
+    """Unit-area Lorentzian with half width at half maximum ``hwhm``, checked as ``synthesize`` does."""
+    hwhm = _linewidth(hwhm)
     freq = np.asarray(freq, dtype=float)
     return hwhm / (np.pi * ((freq - center) ** 2 + hwhm ** 2))
 
@@ -117,13 +131,7 @@ def synthesize(table: TransitionTable, width: float, grid) -> SpectrumModel:
     sum is accumulated in table order, so the values are bit-identical to
     adding ``amplitude * lorentzian(grid, center, width)`` entry by entry.
     """
-    if not (width > 0 and math.isfinite(width)):
-        raise ValidationError(f"linewidth must be positive and finite, got {width!r}")
-    hwhm = float(width)
-    if not math.isfinite(math.pi * hwhm * hwhm):
-        raise ValidationError(f"linewidth {width!r} MHz is too large: pi times its square overflows")
-    if hwhm * hwhm < sys.float_info.min:
-        raise ValidationError(f"linewidth {width!r} MHz is too small: its square underflows")
+    hwhm = _linewidth(width)
     grid = require_grid(grid)
     centers = table.freq_mhz[:, None]
     amplitudes = table.intensity[:, None]

@@ -21,11 +21,11 @@ A table is built in two stages.  The field stage, :func:`field_stage`,
 runs once per eigen-system and band: it folds the dipole operator into
 the eigenbasis and keeps, over all (i < j) level pairs, the frequencies,
 the transition probabilities and the band mask, and the m_S / m_I index
-of every level, read from its label.  :class:`FieldStages` runs it on a
-field sweep solved as (n, 9, 9) stacks by ``hamiltonian.solve_fields``
-(labeled as ``spin_core`` describes), with one fold v^H D v per stack,
-or one field at a time for a fit.
-The population stage,
+of every level, read from its label.  :class:`FieldStages` runs it on
+every NV + 14N field: it builds H in (n, 9, 9) stacks from B-free terms
+made once, solves and labels each stack as ``spin_core`` describes and
+folds it with one v^H D v; a sweep is cut into stacks of at most
+``SOLVE_CHUNK`` fields, a fit solves a stack of one.  The population stage,
 :func:`population_stage`, runs once per (beta, manifold split): it
 weights the pairs, applies the intensity floor over all pairs and then
 the band mask.  A fit at a fixed field repeats only the second stage.
@@ -43,12 +43,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import (
-    MAX_FIELD_MT, NV_N14_LABELS, FieldConfig, _field_terms, _hamiltonian, solve_fields
-)
+from .hamiltonian import MAX_FIELD_MT, NV_N14_LABELS, FieldConfig, _field_terms, _hamiltonian
 from .spin_core import EigenSystem, eigensolve_stack, nv_spin_model
 
 FLOOR_REL_DEFAULT = 1e-6
+# Most fields one (n, 9, 9) stack holds: about 1.3 MB per complex array.
+SOLVE_CHUNK = 1024
 MODES = ("hi", "lo")
 
 _M_INDEX = {1: 0, 0: 1, -1: 2}  # share and populations are ordered m = +1, 0, -1
@@ -216,11 +216,12 @@ def field_stage(system: EigenSystem, mode: str | None = None) -> FieldStage:
 class FieldStages:
     """The field stages of one field direction and band.
 
-    Called on a sweep, it checks every field, then yields one stage per
-    field from the stacks of ``hamiltonian.solve_fields``.  :meth:`at`
-    solves one field from the B-free terms of H, made on its first call so
-    that a sweep names a bad first field before a bad angle.  Each label
-    order's level index is made once per object.
+    Called on a sweep, it checks every field, the first field and the
+    angle first, then yields one stage per field from stacks of at most
+    ``SOLVE_CHUNK`` fields.  :meth:`at` checks and solves one field.  Both
+    build H from the B-free ``terms``, made on first use, and reach
+    ``eigh`` through :meth:`_stages`.  Each label order's level index is
+    made once per object.
     """
 
     def __init__(self, constants, theta_deg: float = 0.0, mode: str | None = None):
@@ -231,15 +232,23 @@ class FieldStages:
     def terms(self) -> tuple:
         return _field_terms(self.constants, FieldConfig(0.0, self.theta_deg).direction())
 
+    def _stages(self, hs: np.ndarray) -> list:
+        """The stages of a stack (n, 9, 9) of H built from ``terms``."""
+        return _field_stages(eigensolve_stack(hs, NV_N14_LABELS), self.mode, indexed=self.indexed)
+
     def __call__(self, fields):
-        chunks = solve_fields(self.constants, fields, self.theta_deg)  # checks the fields now
-        return (s for c in chunks for s in _field_stages(c, self.mode, indexed=self.indexed))
+        b = np.asarray(fields, dtype=float)
+        FieldConfig(float(b[0]) if b.size else 0.0, self.theta_deg)  # the first field, then the angle
+        bad = np.flatnonzero(~((b >= 0.0) & (b <= MAX_FIELD_MT)))
+        if bad.size:
+            FieldConfig(float(b[bad[0]]), self.theta_deg)  # names the first bad field
+        chunks = (b[k : k + SOLVE_CHUNK, None, None] for k in range(0, b.size, SOLVE_CHUNK))
+        return (s for chunk in chunks for s in self._stages(_hamiltonian(self.terms, chunk)))
 
     def at(self, b: float) -> FieldStage:
         if not 0.0 <= b <= MAX_FIELD_MT:  # FieldConfig's rule, without building one per field
             FieldConfig(b, self.theta_deg)  # names the bad field
-        systems = eigensolve_stack(_hamiltonian(self.terms, b)[None], NV_N14_LABELS)
-        return _field_stages(systems, self.mode, indexed=self.indexed)[0]
+        return self._stages(_hamiltonian(self.terms, b)[None])[0]
 
 
 def population_stage(

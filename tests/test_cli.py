@@ -797,6 +797,49 @@ def test_field_above_the_cap_is_named_without_a_warning(fit_input, tmp_path, cap
     assert not (tmp_path / "x").is_file() and not any((tmp_path / "x").glob("*"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--b-mt", "nan", "--grid", "5680:5800:0.5"],
+        ["mc13", "--b-mt", "nan", "--grid", "5680:5800:0.5", "--iterations", "2"],
+        ["fit", "INPUT", "--b-mt", "nan"],
+    ],
+)
+def test_nan_field_is_named_as_not_finite(fit_input, tmp_path, capsys, args):
+    args = [str(fit_input) if arg == "INPUT" else arg for arg in args]
+    assert run(args + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: field magnitude must be a finite number, got nan\n"
+    assert not (tmp_path / "x").is_file() and not any((tmp_path / "x").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["fit", "polarization"])
+def test_zero_gamma_e_is_a_validation_error_where_the_gslac_field_is_needed(
+    fit_input, tmp_path, capsys, command
+):
+    constants = tmp_path / "c.txt"
+    constants.write_text("gamma_e = 0\n")
+    report = tmp_path / "r.json"
+    params = {"beta": 0.0, "b_mt": 101.0, "width_mhz": 1.0}
+    report.write_text(json.dumps({"params": params, "peak_areas": {}, "peak_strengths": {}}))
+    source = fit_input if command == "fit" else report
+    out = tmp_path / "out" / "x"
+    assert run([command, str(source), "--constants", str(constants), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: gamma_e must be nonzero, got 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_gamma_e_is_accepted_where_no_gslac_field_is_needed(tmp_path, capsys):
+    constants = tmp_path / "c.txt"
+    constants.write_text("gamma_e = 0\n")
+    common = ["--b-mt", "101", "--grid", "2860:2880:0.5", "--constants", str(constants)]
+    assert run(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+    assert run(["mc13", *common, "--iterations", "2", "--out", str(tmp_path / "mc")]) == 0
+    assert run(["constants", "--constants", str(constants)]) == 0
+    assert "gamma_e = 0 MHz/mT" in capsys.readouterr().out
+    assert (tmp_path / "sim" / "spectrum_hi_b101.csv").is_file()
+    assert (tmp_path / "mc" / "mc_spectrum_hi_b101.csv").is_file()
+
+
 def _polarization_row(tmp_path, areas, strengths):
     doc = {
         "params": {"beta": 0.0, "b_mt": 101.0, "width_mhz": 1.0},

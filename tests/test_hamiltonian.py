@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvgslac import hamiltonian
+from nvgslac import hamiltonian, transitions
 from nvgslac.errors import ParseError, ValidationError
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
@@ -24,7 +24,6 @@ from nvgslac.hamiltonian import (
     kappa_parameters,
     level_sweep,
     parse_constants_file,
-    solve_fields,
     truncated_eigensystem,
     truncated_hamiltonian,
 )
@@ -89,8 +88,10 @@ def test_field_config_validation():
     for b in (np.nextafter(MAX_FIELD_MT, np.inf), 1e307, np.inf):
         with pytest.raises(ValidationError, match=re.escape(f"must be <= {MAX_FIELD_MT:g} mT, got {b!r}")):
             FieldConfig(b=b)
-    with pytest.raises(ValidationError, match="must be >= 0, got nan"):
+    with pytest.raises(ValidationError, match="must be a finite number, got nan"):
         FieldConfig(b=np.nan)
+    with pytest.raises(ValidationError, match="must be >= 0, got -inf"):
+        FieldConfig(b=-np.inf)
     with pytest.raises(ValidationError):
         FieldConfig(b=1.0, theta_deg=180.0)
     with pytest.raises(ValidationError):
@@ -142,17 +143,25 @@ def test_split_build_has_the_bits_of_one_expression(values, fields, theta, phi):
         h = build_nv_hamiltonian(c, FieldConfig(b, theta, phi))
         assert h.tobytes() == one_expression_hamiltonian(c, b, theta, phi).tobytes()
     stacks = []
-    with pytest.MonkeyPatch.context() as mp:  # record the stack solve_fields diagonalizes
-        mp.setattr(hamiltonian, "eigensolve_stack", lambda hs: stacks.append(hs) or [])
-        list(solve_fields(c, fields, theta, phi))
-    expected = one_expression_hamiltonian(c, np.array(fields)[:, None, None], theta, phi)
+
+    def recording_eigensolve_stack(hs, labels):
+        stacks.append(hs)
+        return eigensolve_stack(hs, labels)
+
+    with pytest.MonkeyPatch.context() as mp:  # record the stack FieldStages diagonalizes
+        mp.setattr(transitions, "eigensolve_stack", recording_eigensolve_stack)
+        stages = list(FieldStages(c, theta)(fields))
+    expected = one_expression_hamiltonian(c, np.array(fields)[:, None, None], theta, 0.0)
     assert [hs.tobytes() for hs in stacks] == [expected.tobytes()]
-    systems = next(solve_fields(c, fields, theta, phi))
-    want = eigensolve_stack(expected)
-    for got, ref in zip(systems, want, strict=True):
+    for got, ref in zip((stage.system for stage in stages), eigensolve_stack(expected), strict=True):
         assert got.energies.tobytes() == ref.energies.tobytes()
         assert got.vectors.tobytes() == ref.vectors.tobytes()
         assert got.labels == ref.labels
+    # any azimuth: level_sweep solves the same expression (its labels then follow the sweep)
+    expected = one_expression_hamiltonian(c, np.array(fields)[:, None, None], theta, phi)
+    for got, ref in zip(level_sweep(c, fields, theta, phi), eigensolve_stack(expected), strict=True):
+        assert got.energies.tobytes() == ref.energies.tobytes()
+        assert got.vectors.tobytes() == ref.vectors.tobytes()
 
 
 def test_hamiltonian_hermitian_any_angle(rng):

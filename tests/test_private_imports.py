@@ -10,7 +10,7 @@ SRC = Path(nvgslac.__file__).parent
 # (importing module, defining module, name) -> why the private name crosses a module boundary.
 ALLOWED = {
     ("transitions", "hamiltonian", "_field_terms"): "the B-free terms of H, made once per FieldStages",
-    ("transitions", "hamiltonian", "_hamiltonian"): "H at one field from those terms, in FieldStages.at",
+    ("transitions", "hamiltonian", "_hamiltonian"): "H from those terms, for the one solve of FieldStages",
 }
 
 

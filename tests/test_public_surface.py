@@ -13,7 +13,7 @@ KEEP = {
     "analytic_eigenstates": "closed-form oracle of the axial model (acceptance tests)",
     "analytic_energies": "closed-form oracle of the axial model (acceptance tests)",
     "truncated_eigensystem": "6x6 truncated-Hamiltonian oracle (acceptance tests)",
-    "level_sweep": "adiabatic relabeling of a solve_fields sweep (hamiltonian tests)",
+    "level_sweep": "adiabatic relabeling of a field sweep (hamiltonian tests)",
     "intensity_matrix": "table from a given probability matrix (acceptance tests)",
     "track_transition": "follows one transition across a sweep (acceptance tests)",
     "lorentzian": "per-entry oracle of synthesize",

@@ -75,15 +75,17 @@ def test_synthesize_empty_table_gives_zeros():
 
 def test_synthesize_rejects_bad_width_and_grid():
     table = nv_table(95.0, mode="hi")
-    for width in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValidationError, match=repr(width)):
-            synthesize(table, width, np.linspace(0, 1, 5))
-    for width in (1e308, 1e154):  # finite, but pi * width**2 overflows
-        with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too large")):
-            synthesize(table, width, np.linspace(0, 1, 5))
-    for width in (1e-200, 1e-160):  # positive, but width**2 underflows
-        with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too small")):
-            synthesize(table, width, np.linspace(0, 1, 5))
+    grid = np.linspace(0, 1, 5)
+    for curve in (lambda w: synthesize(table, w, grid), lambda w: lorentzian(grid, 0.0, w)):
+        for width in (0.0, -1.0, np.inf, np.nan):  # one width rule for both
+            with pytest.raises(ValidationError, match=repr(width)):
+                curve(width)
+        for width in (1e308, 1e154):  # finite, but pi * width**2 overflows
+            with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too large")):
+                curve(width)
+        for width in (1e-200, 1e-160):  # positive, but width**2 underflows
+            with pytest.raises(ValidationError, match=re.escape(f"linewidth {width!r} MHz is too small")):
+                curve(width)
     bad_grids = (np.array([]), None, np.zeros((2, 5)), np.array([0.0, np.nan, 1.0]), [np.inf])
     for grid in bad_grids:
         shape = np.shape(np.asarray(grid, dtype=float))

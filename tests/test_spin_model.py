@@ -15,7 +15,6 @@ from nvgslac.fitting import FitParams, fit_spectrum, model_spectrum
 from nvgslac.hamiltonian import (
     DEFAULT_CONSTANTS,
     NV_N14_LABELS,
-    SOLVE_CHUNK,
     FieldConfig,
     PhysicalConstants,
     build_nv_hamiltonian,
@@ -33,6 +32,7 @@ from nvgslac.spin_core import (
     spin_matrices,
 )
 from nvgslac.transitions import (
+    SOLVE_CHUNK,
     FieldStages,
     dipole_elements,
     field_stage,
@@ -296,6 +296,19 @@ def test_stack_across_a_chunk_boundary_is_bit_equal_to_single_solves(monkeypatch
             assert getattr(stage.system, name).tobytes() == getattr(single.system, name).tobytes()
         for name in ("i", "j", "freq_mhz", "probability", "band", "s_index", "i_index"):
             assert getattr(stage, name).tobytes() == getattr(single, name).tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["hi", "lo", None])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_field_stages_at_is_bit_equal_to_a_one_field_sweep(mode, theta):
+    for b in (0.0, 95.0, 101.35, 102.4, 102.41, 103.5, 250.0):
+        one = FieldStages(C, theta, mode).at(b)
+        (swept,) = FieldStages(C, theta, mode)([b])
+        assert one.system.labels == swept.system.labels
+        for name in ("energies", "vectors"):
+            assert getattr(one.system, name).tobytes() == getattr(swept.system, name).tobytes()
+        for name in ("i", "j", "freq_mhz", "probability", "band", "s_index", "i_index"):
+            assert getattr(one, name).tobytes() == getattr(swept, name).tobytes(), name
 
 
 @pytest.mark.parametrize(
