@@ -127,9 +127,10 @@ def load_families(path=None) -> tuple:
             raise ParseError(f"{path}: empty family file (missing header)") from None
         if [h.strip() for h in header] != _FAMILY_HEADER:
             raise ParseError(f"{path}: expected header {','.join(_FAMILY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for row in reader:
+            if all(not cell.strip() for cell in row):
                 continue
+            lineno = reader.line_num  # the physical line, also after a field that spans lines
             if len(row) != len(_FAMILY_HEADER):
                 raise ParseError(f"{path}:{lineno}: expected {len(_FAMILY_HEADER)} fields")
             label = row[0].strip()

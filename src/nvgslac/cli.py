@@ -36,6 +36,7 @@ from .hamiltonian import (
     parse_constants_file,
 )
 from .spectrum import (
+    NUMBER_FORMAT,
     frequency_grid,
     read_spectrum_csv,
     require_grid_covers,
@@ -139,8 +140,6 @@ def cmd_simulate(args) -> int:
     constants = _load_constants(args.constants)
     grid = _parse_grid(args.grid)
     fields = _field_values(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     tables = []
     spectra = []
@@ -149,6 +148,8 @@ def cmd_simulate(args) -> int:
         tables.append(table)
         spectra.append(synthesize(table, args.width_mhz, grid))
     require_grid_covers(grid, tables, args.width_mhz, args.mode)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = row_template(grid) if args.format == "csv" else None  # the same grid column every field
     for b, spec in zip(fields, spectra):
@@ -211,22 +212,23 @@ def cmd_fit(args) -> int:
 def cmd_calibrate(args) -> int:
     points = []
     with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        reader = csv.reader(fh)
+        rows = (row for row in reader if not (row and row[0].startswith("#")))
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ParseError(f"{args.input}: empty calibration file") from None
         if [h.strip() for h in header[:2]] != ["current_a", "b_mt"]:
             raise ParseError(f"{args.input}: expected header 'current_a,b_mt'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for row in rows:
+            if all(not cell.strip() for cell in row):
                 continue
             try:
                 point = (float(row[0]), float(row[1]))
             except (ValueError, IndexError):
-                raise ParseError(f"{args.input}:{lineno}: malformed calibration row") from None
+                raise ParseError(f"{args.input}:{reader.line_num}: malformed calibration row") from None
             if not all(map(math.isfinite, point)):
-                raise ParseError(f"{args.input}:{lineno}: calibration values must be finite")
+                raise ParseError(f"{args.input}:{reader.line_num}: calibration values must be finite")
             points.append(point)
     try:
         model = calibrate_field(points)
@@ -262,7 +264,7 @@ def cmd_polarization(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow("b_mt orientation alignment n_plus n_zero n_minus low_confidence flags".split())
         writer.writerows(
-            ["%.9g" % x for x in (b, r.orientation, r.alignment, *r.populations)]
+            [NUMBER_FORMAT % x for x in (b, r.orientation, r.alignment, *r.populations)]
             + [int(r.low_confidence), ";".join(r.flags)]
             for b, r in rows
         )

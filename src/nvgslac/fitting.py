@@ -11,20 +11,22 @@ per free parameter) searches the projected residual from starts inside the
 bounds; the fit reports the lowest converged end and the standard errors
 from its Jacobian.
 
-More than 0.5 mT from the anticrossing the field is free within +-0.5 mT
-of its start.  A 1-d scan over those bounds, in steps of at most
-``B_SCAN_STEP_MT`` (0.05 mT) with the start width and spin temperature
-0, picks the start field: at 0 the 14N triplet is symmetric, while a
-start value of the wrong sign mirrors it and picks the wrong field.  A
-coarse beta x width grid is then scored at that field, and the solver
-runs from its best points.  The scan step must stay below the 14N line
-spacing in field units, |a_par| / gamma_e = 0.076 mT: scored about one
-spacing off, the grid favours one broad line at a saturated spin
-temperature, a basin a local search does not leave.
+The start search has two steps, each with one job.  More than 0.5 mT
+from the anticrossing the field is free within +-0.5 mT of its start, and
+a 1-d scan over those bounds, in steps of at most ``B_SCAN_STEP_MT``
+(0.05 mT) with the start width and spin temperature 0, picks the field
+and only that: at 0 the 14N triplet is symmetric, while a start value of
+the wrong sign mirrors it and picks the wrong field.  A coarse beta x
+width grid at that field gives the starts, and the solver runs from the
+best.  The scan step must stay below the 14N line spacing in field units,
+|a_par| / gamma_e = 0.076 mT: scored about one spacing off, the grid
+favours one broad line at a saturated spin temperature, a basin a local
+search does not leave.
 
 Within 0.5 mT of the anticrossing the field is held fixed (supplied by the
 coil-current calibration) and the electron-manifold population split is
-freed instead; the grid is scored at the start field.
+freed instead; there is no scan, and the grid lies at the start field.
+Either way the start beta is checked but does not seed the search.
 
 The command line writes :func:`fit_report_document` as strict JSON and
 :meth:`FitResult.from_document` reads it back.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -244,18 +246,19 @@ def fit_spectrum(
     Free are beta, width and, more than 0.5 mT from the anticrossing, the
     field (within +-0.5 mT and [0, ``MAX_FIELD_MT``]); nearer, the field
     is fixed and the manifold split is free.  All stay within
-    ``DEFAULT_BOUNDS``.  The start field comes from the field scan (the
-    start point when the field is fixed), then a ``START_GRID`` (5 x 5)
-    beta x width grid is scored at it (see the module docstring).  From
-    the best ``N_RESTARTS`` (2) starts, ``least_squares`` (trf, box
-    bounds, ``x_scale="jac"``, relative difference steps ``DIFF_STEPS``)
-    minimizes data - s* model.
+    ``DEFAULT_BOUNDS``.  The start search has two steps (see the module
+    docstring): with the field free, a scan at beta = 0 and the start
+    width picks the field; then a ``START_GRID`` (5 x 5) beta x width grid
+    at that field, or at the start field when it is fixed, is scored once
+    per point.  From its best ``N_RESTARTS`` (2) points, ``least_squares``
+    (trf, box bounds, ``x_scale="jac"``, relative difference steps
+    ``DIFF_STEPS``) minimizes data - s* model.
 
     Every model evaluation, finite-difference Jacobian columns included,
-    counts towards ``n_evaluations``; ``evaluation_split`` holds its scan,
-    grid and search parts.  A search stopped by trf's own cap (100
-    residual evaluations per free parameter) has not converged, and
-    ``ConvergenceError`` is raised if no search converged.
+    counts towards ``n_evaluations``; ``evaluation_split`` holds its scan
+    (0 with the field fixed), grid and search parts.  A search stopped by
+    trf's own cap (100 residual evaluations per free parameter) has not
+    converged, and ``ConvergenceError`` is raised if no search converged.
 
     One ``transitions.FieldStages`` per call holds what does not depend on
     B; its ``at`` solves each B met once (in an LRU cache of the call, of
@@ -271,7 +274,8 @@ def fit_spectrum(
 
     A start beta, width or manifold split outside ``DEFAULT_BOUNDS`` (NaN
     included), or a start field and angle that make no valid
-    ``FieldConfig``, is a ``ValidationError`` before any evaluation.
+    ``FieldConfig``, is a ``ValidationError`` before any evaluation.  The
+    start beta is only checked: it does not seed the search.
     """
     if data.grid.size == 0:
         raise ValidationError("cannot fit an empty spectrum")
@@ -291,13 +295,10 @@ def fit_spectrum(
 
     evaluations = {"scan": 0, "grid": 0, "search": 0}
 
-    def unpack(x) -> FitParams:
-        return replace(initial, **dict(zip(names, x)))
-
     def evaluate(x, part: str) -> tuple:
         """Counted (params, table, model, s*) at x."""
         evaluations[part] += 1
-        params = unpack(x)
+        params = replace(initial, **dict(zip(names, x)))
         table = _weigh(field_stage(params.b), params)
         model = synthesize(table, params.width, data.grid)
         return params, table, model, _optimal_scale(data.values, model.values)
@@ -307,10 +308,21 @@ def fit_spectrum(
         *_, model, scale = evaluate(x, part)
         return data.values - scale * model.values
 
-    # Coarse scoring grid over (beta, width), other parameters at their
-    # start.  The grid spans the plausible region around the initial
-    # guess, not the full bounds: spin temperatures beyond |beta| ~ 2 are
-    # saturated and widths far from the seed only smear the landscape.
+    # With the field free, a scan over its bounds at beta = 0 and the start
+    # width picks the field (see the module docstring); it gives no start.
+    b_start = initial.b
+    if b_free:
+        n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
+        b_start = min(
+            np.linspace(b_lo, b_hi, n_scan),
+            key=lambda b0: np.linalg.norm(residual([0.0, initial.width, b0], "scan")),
+        )
+
+    # The starts: a coarse beta x width grid at that field, the last
+    # parameter at its start, all inside the bounds as trf requires.  The
+    # grid spans the plausible region, not the full bounds: spin temperatures
+    # beyond |beta| ~ 2 are saturated and widths far from the start width
+    # only smear the landscape.
     n_beta, n_width = START_GRID
     beta_lo, beta_hi = bounds["beta"]
     width_lo, width_hi = bounds["width"]
@@ -318,27 +330,11 @@ def fit_spectrum(
     width_grid = np.linspace(
         max(width_lo, initial.width / 3.0), min(width_hi, initial.width * 3.0), n_width
     )
-
-    def start_vector(beta0, width0, b0) -> np.ndarray:
-        """A scan or grid point; inside the bounds, as the start and both grids are."""
-        return np.array([beta0, width0, b0 if b_free else initial.manifold_split])
-
-    def score(vectors, part: str) -> list:
-        return [(np.linalg.norm(residual(x, part)), x) for x in vectors]
-
-    # With the field free, scan it over its bounds at beta = 0 first (see the module docstring).
-    b_starts, beta_scan = [initial.b], initial.beta
-    if b_free:
-        n_scan = math.ceil((b_hi - b_lo) / B_SCAN_STEP_MT - 1e-9) + 1  # 21 for +-0.5 mT
-        b_starts, beta_scan = np.linspace(b_lo, b_hi, n_scan), 0.0
-    scan = [start_vector(beta_scan, initial.width, b0) for b0 in b_starts]
-    starts = [min(score(scan, "scan"), key=itemgetter(0))]
-    b_start = unpack(starts[0][1]).b
-    grid = [start_vector(beta0, width0, b_start) for beta0 in beta_grid for width0 in width_grid]
-    starts += score(grid, "grid")
-    starts.sort(key=itemgetter(0))
+    last = b_start if b_free else initial.manifold_split
+    grid = [np.array([beta0, width0, last]) for beta0 in beta_grid for width0 in width_grid]
+    starts = sorted(grid, key=lambda x: np.linalg.norm(residual(x, "grid")))  # each scored once
     ends = []
-    for _, x0 in starts[:N_RESTARTS]:
+    for x0 in starts[:N_RESTARTS]:
         end = least_squares(
             residual, x0, bounds=(lower, upper), method="trf", x_scale="jac",
             diff_step=[DIFF_STEPS[name] for name in names], args=("search",),

@@ -618,6 +618,11 @@ FAMILY_HEADER = "label,multiplicity,axx_mhz,ayy_mhz,azz_mhz,cos_zz,source\n"
         ("label,multiplicity,axx,ayy,azz,cos_zz,source\n", "{path}: expected header label,"),
         (FAMILY_HEADER + "A,3,1,1,2,1.0\n", "{path}:2: expected 7 fields"),
         (FAMILY_HEADER + "A,3,1,1,2,1,x\nB,0,1,1,2,1,x\n", "{path}:3: multiplicity must be >= 1"),
+        # the physical line, after a quoted source that spans two lines
+        (
+            FAMILY_HEADER + 'A,3,1,1,2,1,"two\nlines"\nB,0,1,1,2,1,x\n',
+            "{path}:4: multiplicity must be >= 1",
+        ),
         (FAMILY_HEADER + "A,3,1,1,2,1.5,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
         (FAMILY_HEADER + "A,3,1,1,2,-0.1,x\n", "{path}:2: cos_zz must lie in [0, 1]"),
         (FAMILY_HEADER + "A,3,nan,1,2,1,x\n", "{path}:2: hyperfine values must be finite"),

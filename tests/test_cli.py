@@ -403,6 +403,22 @@ def test_simulate_non_finite_sweep_is_validation_error(tmp_path, capsys, flag, v
     assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--b-mt", "nan", "--grid", "5680:5800:0.5"], "field magnitude must be a finite number"),
+        (["--b-mt", "101", "--theta-deg", "200", "--grid", "5680:5800:0.5"], "theta must lie in"),
+        (["--b-mt", "101", "--grid", "0:10:1"], "does not overlap the hi-band transitions"),
+    ],
+    ids=["nan_field", "bad_angle", "grid_not_covering"],
+)
+def test_refused_simulate_leaves_no_out_directory(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert run(["simulate", "--mode", "hi", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_sweep_cap_checked_before_allocation(tmp_path, capsys):
     args = [
         "simulate",
@@ -434,6 +450,18 @@ def test_calibrate_round_trip(tmp_path):
     assert run(["calibrate", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert abs(doc["slope_mt_per_a"] - 2.9) / 2.9 < 0.01
+
+
+def test_calibrate_skips_comment_lines(tmp_path):
+    plain = "current_a,b_mt\n33.0,95.7\n34.0,98.6\n35.0,101.5\n"
+    commented = "# note\ncurrent_a,b_mt\n33.0,95.7\n# between\n34.0,98.6\n35.0,101.5\n"
+    outputs = []
+    for name, text in (("plain", plain), ("commented", commented)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        assert run(["calibrate", str(path), "--out", str(tmp_path / f"{name}.json")]) == 0
+        outputs.append((tmp_path / f"{name}.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_calibrate_bad_header_is_parse_error(tmp_path):
@@ -677,6 +705,12 @@ def test_fit_of_a_non_finite_grid_is_a_parse_error(fit_input, tmp_path, monkeypa
         ("current_a,b_mt\n33.0,95.7\n34.0,fast\n", "{path}:3: malformed calibration row"),
         ("current_a,b_mt\ninf,4\n2,5.8\n", "{path}:2: calibration values must be finite"),
         ("current_a,b_mt\n1,2.9\n2,nan\n", "{path}:3: calibration values must be finite"),
+        # the physical line, comment lines counted
+        ("# note\ncurrent_a,b_mt\n33.0,95.7\nx,98.6\n", "{path}:4: malformed calibration row"),
+        (
+            "# note\ncurrent_a,b_mt\n33.0,95.7\n# between\n34.0,inf\n",
+            "{path}:5: calibration values must be finite",
+        ),
     ],
 )
 def test_calibrate_rejections_name_the_file(tmp_path, capsys, text, message):

@@ -195,7 +195,7 @@ def test_fit_nonconvergence_raises(model_calls, unconverged_searches):
 
 
 def test_fit_budget_counts_jacobian_evaluations(monkeypatch, model_calls):
-    # B fixed: 1 start point and 25 grid points, then each search's residuals
+    # B fixed: no field scan, 25 grid points, then each search's residuals
     # and its 3 Jacobian columns, all named in the message
     ends = []
 
@@ -211,7 +211,7 @@ def test_fit_budget_counts_jacobian_evaluations(monkeypatch, model_calls):
     with pytest.raises(ConvergenceError) as raised:
         fit_spectrum(data, FitParams(beta=0.0, b=b, width=1.2))
     assert len(ends) == fitting.N_RESTARTS
-    expected = 1 + 25 + sum(end.nfev + 3 * end.njev for end in ends)
+    expected = 25 + sum(end.nfev + 3 * end.njev for end in ends)
     assert len(model_calls) == expected
     assert str(raised.value) == f"fit did not converge: {expected} evaluations spent"
 
@@ -299,7 +299,7 @@ def test_b_fixed_fit_builds_its_field_once(model_calls, field_builds):
     assert "b_fixed_near_gslac" in result.flags
     assert result.n_evaluations == len(model_calls)
     split = result.evaluation_split
-    assert split["scan"] == 1 and split["grid"] == 25  # a fixed field scores its one start
+    assert split["scan"] == 0 and split["grid"] == 25  # a fixed field is not scanned
     assert sum(split.values()) == result.n_evaluations
     assert field_builds == [b]
 
@@ -390,6 +390,57 @@ def test_fit_reports_the_lowest_converged_search_end(monkeypatch):
     p = result.params
     assert [p.beta, p.width, p.b] == final.x.tolist()
     assert result.chi2_red == pytest.approx(2.0 * final.cost / data.grid.size, rel=1e-12)
+
+
+@pytest.mark.parametrize("index", [0, 1, 3, 15, 16, 18, 19])
+def test_fit_searches_start_from_different_points(monkeypatch, index):
+    # in these cases the field scan's best point has a twin in the start
+    # grid (beta 0, the start width), equal to the last bit or one ulp
+    # apart; only the grid gives starts
+    truth, data = criterion6_case(0, index)
+    starts = []
+
+    def recording_least_squares(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0, dtype=float))
+        return least_squares(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", recording_least_squares)
+    fit_spectrum(data, FitParams(beta=0.0, b=truth.b + 0.05, width=1.2))
+    assert len(starts) == fitting.N_RESTARTS
+    assert not np.allclose(starts[0], starts[1], rtol=1e-9, atol=0.0), starts
+
+
+def test_fit_flags_an_ambiguous_basin(monkeypatch):
+    # the second search ends at the first end's cost, 1 away in beta (hundreds of se)
+    data, _ = synthetic_spectrum(0.3, 101.4, 1.0, seed=13)
+    ends = []
+
+    def two_basins(*args, **kwargs):
+        if ends:
+            end = SimpleNamespace(status=1, cost=ends[0].cost, x=ends[0].x + [1.0, 0.0, 0.0])
+        else:
+            end = least_squares(*args, **kwargs)
+        ends.append(end)
+        return end
+
+    monkeypatch.setattr(fitting, "least_squares", two_basins)
+    result = fit_spectrum(data, FitParams(beta=0.0, b=101.35, width=1.0))
+    assert len(ends) == fitting.N_RESTARTS
+    assert result.flags == ("ambiguous_basin",)
+    p = result.params
+    assert [p.beta, p.width, p.b] == ends[0].x.tolist()  # the first of two equal ends
+
+
+@pytest.mark.parametrize(
+    "model, scale",
+    [
+        (np.zeros(3), 0.0),  # no model: no scale
+        (np.array([-1.0, -2.0, -3.0]), 0.0),  # the best scale would be negative
+        (np.array([0.5, 1.0, 1.5]), 2.0),
+    ],
+)
+def test_optimal_scale(model, scale):
+    assert fitting._optimal_scale(np.array([1.0, 2.0, 3.0]), model) == scale
 
 
 def test_fit_standard_errors_are_calibrated():
